@@ -144,7 +144,7 @@ def _threads(args) -> int:
     env = os.environ.get("TIMELEAK_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return 1  # threads measurably slow the sweep, so parallelism is opt-in
 
 
 # ---------------------------------------------------------------------------

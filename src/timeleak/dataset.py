@@ -342,14 +342,8 @@ class Normalizer:
     def map_secrets(self, x: np.ndarray) -> np.ndarray:
         return (x - self.secret_shift) / self.secret_denom
 
-    def unmap_secrets(self, xn: np.ndarray) -> np.ndarray:
-        return xn * self.secret_denom + self.secret_shift
-
     def map_publics(self, y: np.ndarray) -> np.ndarray:
         return (y - self.public_shift) / self.public_scale
-
-    def unmap_publics(self, yn: np.ndarray) -> np.ndarray:
-        return yn * self.public_scale + self.public_shift
 
     def map_time(self, t: np.ndarray) -> np.ndarray:
         return (t - self.time_shift) / self.time_scale
@@ -383,27 +377,6 @@ def fit_normalizer(train: TraceDataset) -> Normalizer:
         public_scale=np.asarray(pub_scale, dtype=np.float64),
         time_shift=t_shift,
         time_scale=t_scale,
-    )
-
-
-def apply(norm: Normalizer, ds: TraceDataset) -> TraceDataset:
-    """Map a dataset into normalized coordinates (training statistics only)."""
-    return TraceDataset(
-        ds.schema,
-        norm.map_secrets(ds.x),
-        norm.map_publics(ds.y),
-        norm.map_time(ds.t),
-        validate=False,
-    )
-
-
-def unapply(norm: Normalizer, ds: TraceDataset) -> TraceDataset:
-    return TraceDataset(
-        ds.schema,
-        norm.unmap_secrets(ds.x),
-        norm.unmap_publics(ds.y),
-        norm.unmap_time(ds.t),
-        validate=False,
     )
 
 

@@ -9,6 +9,7 @@ threshold.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,36 +115,84 @@ class TrainConfig:
 Layer = tuple[np.ndarray, np.ndarray]  # weight (out, in), bias (out,)
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(arch: Architecture) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """(out, in, offset) of every layer in canonical order (secret stack,
+    interface, public stack, joint stack, output; a k=0 model has no secret
+    branch) and the total parameter count. Each layer stores its weight
+    row-major, then its bias."""
+    shapes: list[tuple[int, int]] = []
+
+    def stack(d: int, widths: tuple[int, ...]) -> int:
+        for w_out in widths:
+            shapes.append((w_out, d))
+            d = w_out
+        return d
+
+    if arch.k > 0:
+        shapes.append((arch.k, stack(arch.n_secret, arch.secret_widths)))
+    stack(arch.n_public, arch.public_widths)
+    shapes.append((1, stack(arch.joint_in_dim, arch.joint_widths)))
+    layout, at = [], 0
+    for n_out, n_in in shapes:
+        layout.append((n_out, n_in, at))
+        at += n_out * (n_in + 1)
+    return tuple(layout), at
+
+
+def parameter_count(arch: Architecture) -> int:
+    return _layout(arch)[1]
+
+
+def layer_views(arch: Architecture, vec: np.ndarray) -> list[Layer]:
+    """Weight/bias views into a vector laid out like `TriBranchNetwork.flat`."""
+    return [
+        (vec[at : at + n_out * n_in].reshape(n_out, n_in), vec[at + n_out * n_in : at + n_out * (n_in + 1)])
+        for n_out, n_in, at in _layout(arch)[0]
+    ]
+
+
+def _branches(arch: Architecture, layers: list[Layer]):
+    """Split canonical-order layers into (secret, iface, public, joint, out)."""
+    n_sec = len(arch.secret_widths) if arch.k > 0 else 0
+    n_front = n_sec + (arch.k > 0)
+    n_pub = len(arch.public_widths)
+    iface = layers[n_sec] if arch.k > 0 else None
+    return layers[:n_sec], iface, layers[n_front : n_front + n_pub], layers[n_front + n_pub : -1], layers[-1]
+
+
 @dataclass(eq=False)
 class TriBranchNetwork:
+    """Every weight and bias lives in one contiguous float64 vector, `flat`;
+    the layer attributes are views into it, so an in-place edit of either is
+    seen by both."""
+
     arch: Architecture
-    secret_layers: list[Layer]
-    iface: Layer | None
-    public_layers: list[Layer]
-    joint_layers: list[Layer]
-    out_layer: Layer
+    flat: np.ndarray
     normalizer: Normalizer | None = None
     schema: FeatureSchema | None = None
     seed: int = 0
     metrics: dict | None = None
+    secret_layers: list[Layer] = field(init=False)
+    iface: Layer | None = field(init=False)
+    public_layers: list[Layer] = field(init=False)
+    joint_layers: list[Layer] = field(init=False)
+    out_layer: Layer = field(init=False)
+
+    def __post_init__(self):
+        if self.flat.shape != (parameter_count(self.arch),) or self.flat.dtype != np.float64:
+            raise DimensionMismatch("parameter vector does not match the architecture")
+        self.secret_layers, self.iface, self.public_layers, self.joint_layers, self.out_layer = _branches(
+            self.arch, layer_views(self.arch, self.flat)
+        )
 
     @property
     def k(self) -> int:
         return self.arch.k
 
     def parameters(self) -> list[np.ndarray]:
-        """Weight/bias arrays in canonical order (shared with gradient lists)."""
-        ps: list[np.ndarray] = []
-        for w, b in self.secret_layers:
-            ps += [w, b]
-        if self.iface is not None:
-            ps += [self.iface[0], self.iface[1]]
-        for w, b in self.public_layers:
-            ps += [w, b]
-        for w, b in self.joint_layers:
-            ps += [w, b]
-        ps += [self.out_layer[0], self.out_layer[1]]
-        return ps
+        """Weight/bias views in canonical order, the order they take in `flat`."""
+        return [a for layer in layer_views(self.arch, self.flat) for a in layer]
 
     def ste_parameter_count(self) -> int:
         """Number of leading parameters whose gradients pass the STE surrogate."""
@@ -153,32 +202,11 @@ class TriBranchNetwork:
 def init(arch: Architecture, seed: int) -> TriBranchNetwork:
     """He-style uniform fan-in initialization with zero biases; deterministic per seed."""
     rng = np.random.default_rng(seed)
-
-    def make(n_out: int, n_in: int) -> Layer:
-        limit = np.sqrt(6.0 / max(n_in, 1))
-        w = rng.uniform(-limit, limit, size=(n_out, n_in))
-        return w, np.zeros(n_out)
-
-    secret_layers: list[Layer] = []
-    iface = None
-    if arch.k > 0:
-        d = arch.n_secret
-        for w_out in arch.secret_widths:
-            secret_layers.append(make(w_out, d))
-            d = w_out
-        iface = make(arch.k, d)
-    public_layers: list[Layer] = []
-    d = arch.n_public
-    for w_out in arch.public_widths:
-        public_layers.append(make(w_out, d))
-        d = w_out
-    joint_layers: list[Layer] = []
-    d = arch.joint_in_dim
-    for w_out in arch.joint_widths:
-        joint_layers.append(make(w_out, d))
-        d = w_out
-    out_layer = make(1, d)
-    return TriBranchNetwork(arch, secret_layers, iface, public_layers, joint_layers, out_layer, seed=seed)
+    flat = np.zeros(parameter_count(arch))
+    for w, _ in layer_views(arch, flat):
+        limit = np.sqrt(6.0 / max(w.shape[1], 1))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return TriBranchNetwork(arch, flat, seed=seed)
 
 
 def binarize(preact: np.ndarray) -> np.ndarray:
@@ -239,33 +267,32 @@ def _forward_cache(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> dic
 
 def predict_batch(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized predictions and interface bits for batches of normalized inputs."""
+    if xn.shape[1] != net.arch.n_secret or yn.shape[1] != net.arch.n_public:
+        raise DimensionMismatch(
+            f"expected {net.arch.n_secret} secret / {net.arch.n_public} public features, "
+            f"got {xn.shape[1]} / {yn.shape[1]}"
+        )
     cache = _forward_cache(net, xn, yn)
     return cache["t_hat"], cache["bits"].astype(np.int64)
 
 
-def forward(net: TriBranchNetwork, x, y) -> tuple[float, np.ndarray]:
-    """Single-sample forward pass on already-normalized inputs -> (t_hat, bits)."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != net.arch.n_secret or y.shape[1] != net.arch.n_public:
-        raise DimensionMismatch(
-            f"expected {net.arch.n_secret} secret / {net.arch.n_public} public features, "
-            f"got {x.shape[1]} / {y.shape[1]}"
-        )
-    t_hat, bits = predict_batch(net, x, y)
-    return float(t_hat[0]), bits[0]
+def _put_gradient(grad: Layer, dz: np.ndarray, h_in: np.ndarray) -> None:
+    """Write one layer's weight and bias gradients into their slots."""
+    np.matmul(dz.T, h_in, out=grad[0])
+    dz.sum(axis=0, out=grad[1])
 
 
 def loss_and_gradients(
     net: TriBranchNetwork,
     batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     ste_clip: float = 1.0,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Mean squared error over a normalized batch plus reverse-mode gradients.
 
-    At the interface threshold the backward pass uses the straight-through
-    surrogate: the incoming gradient passes unchanged where the pre-activation
-    magnitude is at most `ste_clip` and is zeroed elsewhere.
+    The gradient is one vector laid out like `net.flat`. At the interface
+    threshold the backward pass uses the straight-through surrogate: the
+    incoming gradient passes unchanged where the pre-activation magnitude is
+    at most `ste_clip` and is zeroed elsewhere.
     """
     xn, yn, tn = batch
     rows = tn.shape[0]
@@ -277,21 +304,17 @@ def loss_and_gradients(
     if not np.isfinite(loss):
         raise NonFiniteLoss("loss is not finite")
 
-    params = net.parameters()
-    index = {id(p): i for i, p in enumerate(params)}
-    out: list[np.ndarray | None] = [None] * len(params)
-
-    def put(param: np.ndarray, grad: np.ndarray) -> None:
-        out[index[id(param)]] = grad
-
+    # Every slot is written below, so the buffer needs no zeroing.
+    grad = np.empty_like(net.flat)
+    g_secret, g_iface, g_public, g_joint, g_out = _branches(net.arch, layer_views(net.arch, grad))
     dz = (2.0 / rows) * resid[:, None]
-    put(net.out_layer[0], dz.T @ cache["joint_out"])
-    put(net.out_layer[1], dz.sum(axis=0))
+    _put_gradient(g_out, dz, cache["joint_out"])
     dh = dz @ net.out_layer[0]
-    for (w, b), h_in, z in zip(reversed(net.joint_layers), reversed(cache["joint_in"]), reversed(cache["joint_z"])):
+    for (w, _), g, h_in, z in zip(
+        reversed(net.joint_layers), reversed(g_joint), reversed(cache["joint_in"]), reversed(cache["joint_z"])
+    ):
         dz = dh * (z > 0)
-        put(w, dz.T @ h_in)
-        put(b, dz.sum(axis=0))
+        _put_gradient(g, dz, h_in)
         dh = dz @ w
 
     k = net.k
@@ -300,54 +323,54 @@ def loss_and_gradients(
     if k > 0:
         preact = cache["iface_preact"]
         da = dbits * (np.abs(preact) <= ste_clip)
-        put(net.iface[0], da.T @ cache["sec_out"])
-        put(net.iface[1], da.sum(axis=0))
+        _put_gradient(g_iface, da, cache["sec_out"])
         dh_s = da @ net.iface[0]
-        for (w, b), h_in, z in zip(reversed(net.secret_layers), reversed(cache["sec_in"]), reversed(cache["sec_z"])):
+        for (w, _), g, h_in, z in zip(
+            reversed(net.secret_layers), reversed(g_secret), reversed(cache["sec_in"]), reversed(cache["sec_z"])
+        ):
             dz = dh_s * (z > 0)
-            put(w, dz.T @ h_in)
-            put(b, dz.sum(axis=0))
+            _put_gradient(g, dz, h_in)
             dh_s = dz @ w
 
     dh_p = dpub
-    for (w, b), h_in, z in zip(reversed(net.public_layers), reversed(cache["pub_in"]), reversed(cache["pub_z"])):
+    for (w, _), g, h_in, z in zip(
+        reversed(net.public_layers), reversed(g_public), reversed(cache["pub_in"]), reversed(cache["pub_z"])
+    ):
         dz = dh_p * (z > 0)
-        put(w, dz.T @ h_in)
-        put(b, dz.sum(axis=0))
+        _put_gradient(g, dz, h_in)
         dh_p = dz @ w
 
-    assert all(g is not None for g in out)
-    return loss, out  # type: ignore[return-value]
+    return loss, grad
 
 
 @dataclass
 class AdamState:
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     config: TrainConfig,
 ) -> AdamState:
-    """One bias-corrected Adam update, applied to the parameter arrays in place."""
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+    """One bias-corrected Adam update of a parameter vector, in place."""
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g**2
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps_adam)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * grads
+    v *= b2
+    v += (1 - b2) * grads**2
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps_adam)
     return state
 
 
@@ -380,13 +403,12 @@ def train(
     net = init(arch, config.seed)
     net.normalizer = norm
     net.schema = ds_train.schema
-    params = net.parameters()
     state = AdamState()
 
     n = ds_train.n_rows
     history: list[tuple[float, float]] = []
     best_valid = np.inf
-    best_snapshot = [p.copy() for p in params]
+    best_snapshot = net.flat.copy()
     stall = 0
 
     for epoch in range(config.max_epochs):
@@ -397,7 +419,7 @@ def train(
                 loss, grads = loss_and_gradients(net, (xtr[idx], ytr[idx], ttr[idx]), config.ste_clip)
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}", epoch) from exc
-            adam_step(params, grads, state, config)
+            adam_step(net.flat, grads, state, config)
 
         train_sse = _sse_arrays(net, xtr, ytr, ttr)
         valid_sse = _sse_arrays(net, xva, yva, tva)
@@ -407,15 +429,14 @@ def train(
 
         if valid_sse < best_valid - 1e-12:
             best_valid = valid_sse
-            best_snapshot = [p.copy() for p in params]
+            best_snapshot = net.flat.copy()
             stall = 0
         else:
             stall += 1
             if stall >= config.patience:
                 break
 
-    for p, s in zip(params, best_snapshot):
-        p[...] = s
+    net.flat[...] = best_snapshot
     net.metrics = {
         "epochs": len(history),
         "train_sse": history[-1][0],
@@ -462,10 +483,6 @@ def _layer_to_json(layer: Layer) -> dict:
     return {"w": layer[0].tolist(), "b": layer[1].tolist()}
 
 
-def _layer_from_json(obj: dict) -> Layer:
-    return np.asarray(obj["w"], dtype=np.float64), np.asarray(obj["b"], dtype=np.float64)
-
-
 def to_json(net: TriBranchNetwork) -> dict:
     return {
         "format": MODEL_FORMAT,
@@ -507,19 +524,26 @@ def from_json(obj: dict) -> TriBranchNetwork:
         joint_widths=tuple(a["joint_widths"]),
     )
     w = obj["weights"]
-    net = TriBranchNetwork(
+    stored = [*w["secret"], *([w["iface"]] if w["iface"] is not None else []), *w["public"], *w["joint"], w["out"]]
+    flat = np.empty(parameter_count(arch))
+    views = layer_views(arch, flat)
+    if len(stored) != len(views):
+        raise ModelFormatError("weights do not match the architecture")
+    for (vw, vb), layer in zip(views, stored):
+        lw = np.asarray(layer["w"], dtype=np.float64)
+        lb = np.asarray(layer["b"], dtype=np.float64)
+        if lw.shape != vw.shape or lb.shape != vb.shape:
+            raise ModelFormatError("weights do not match the architecture")
+        vw[...] = lw
+        vb[...] = lb
+    return TriBranchNetwork(
         arch,
-        [_layer_from_json(l) for l in w["secret"]],
-        _layer_from_json(w["iface"]) if w["iface"] is not None else None,
-        [_layer_from_json(l) for l in w["public"]],
-        [_layer_from_json(l) for l in w["joint"]],
-        _layer_from_json(w["out"]),
+        flat,
         normalizer=normalizer_from_json(obj["normalizer"]) if obj.get("normalizer") else None,
         schema=schema_from_json(obj["schema"]) if obj.get("schema") else None,
         seed=int(obj.get("seed", 0)),
         metrics=obj.get("metrics"),
     )
-    return net
 
 
 def save(net: TriBranchNetwork, path) -> None:

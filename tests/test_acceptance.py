@@ -168,8 +168,9 @@ def test_criterion_3_gradient_correctness():
             if _relu_kink_distance(net, batch) < 1e-4:
                 continue  # finite differences are invalid across a ReLU kink
             trials += 1
-            _, grads = N.loss_and_gradients(net, batch)
+            _, grad = N.loss_and_gradients(net, batch)
             params = net.parameters()
+            grads = [a for layer in N.layer_views(net.arch, grad) for a in layer]
 
             def loss_at(p=params, b=batch):
                 t_hat, _ = N.predict_batch(net, b[0], b[1])

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from timeleak import cli
 from timeleak import dataset as D
 from timeleak import network as N
 from timeleak.cli import main
@@ -193,6 +194,24 @@ class TestThreadsEnv:
             assert rc == 0
             outs[label] = (out_dir / "sweep.json").read_bytes()
         assert outs["one"] == outs["two"]
+
+    def test_default_is_one_thread(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TIMELEAK_THREADS", raising=False)
+        seen = []
+        real_sweep_k = cli.sweep_mod.sweep_k
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return real_sweep_k(*args, **kwargs)
+
+        monkeypatch.setattr(cli.sweep_mod, "sweep_k", spy)
+        csv = gen_r2(tmp_path, rows=120)
+        rc = main(
+            ["sweep", "--data", str(csv), "--k-max", "1", "--seeds-per-k", "1", "--seed", "1"]
+            + QUICK_TRAIN
+            + ["--max-epochs", "5", "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 0 and seen == [1]
 
 
 class TestConfigFile:

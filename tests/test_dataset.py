@@ -167,14 +167,6 @@ class TestNormalizer:
         norm = D.fit_normalizer(ds)
         assert norm.public_scale[0] == 1.0 and norm.public_shift[0] == 4.0
 
-    def test_apply_unapply_identity(self):
-        ds = D.gen_bl(2, 10, D.IntRange(1, 128), rows=80, noise_std=0.02, seed=4)
-        norm = D.fit_normalizer(ds)
-        back = D.unapply(norm, D.apply(norm, ds))
-        np.testing.assert_allclose(back.x, ds.x, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(back.y, ds.y, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(back.t, ds.t, rtol=1e-12, atol=1e-12)
-
 
 class TestGenRn:
     def test_r2_ground_truth(self):

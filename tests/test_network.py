@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from timeleak import counter as C
 from timeleak import dataset as D
 from timeleak import network as N
 
-from conftest import quick_config
+from conftest import quick_config, random_reducer_net
 
 
 def tiny_arch(k=1, n_secret=2, n_public=3):
@@ -22,6 +23,11 @@ def loss_only(net, batch):
     xn, yn, tn = batch
     t_hat, _ = N.predict_batch(net, xn, yn)
     return float(np.mean((t_hat - tn) ** 2))
+
+
+def split_like(net, vec):
+    """The arrays of a flat-layout vector, in `parameters()` order."""
+    return [a for layer in N.layer_views(net.arch, vec) for a in layer]
 
 
 def fd_gradient(net, batch, param, i, j=None, h=1e-6):
@@ -80,20 +86,25 @@ class TestBinarize:
         assert N.binarize(np.zeros(0)).shape == (0,)
 
 
+def predict_one(net, x, y):
+    """Prediction and bits for one normalized sample, through a one-row batch."""
+    t_hat, bits = N.predict_batch(net, np.asarray(x, dtype=float).reshape(1, -1), np.asarray(y, dtype=float).reshape(1, -1))
+    return float(t_hat[0]), bits[0]
+
+
 class TestForward:
     def test_zero_weights(self):
         net = N.init(tiny_arch(), seed=0)
-        for p in net.parameters():
-            p[...] = 0.0
-        t_hat, bits = N.forward(net, [0.5, 0.5], [0.1, 0.2, 0.3])
+        net.flat[...] = 0.0
+        t_hat, bits = predict_one(net, [0.5, 0.5], [0.1, 0.2, 0.3])
         assert t_hat == 0.0
         assert bits.tolist() == [1]  # zero pre-activation, tie maps to 1
 
     def test_k0_noninterference(self, rng):
         net = N.init(tiny_arch(k=0), seed=2)
         y = rng.normal(size=3)
-        t1, _ = N.forward(net, rng.normal(size=2), y)
-        t2, _ = N.forward(net, rng.normal(size=2), y)
+        t1, _ = predict_one(net, rng.normal(size=2), y)
+        t2, _ = predict_one(net, rng.normal(size=2), y)
         assert t1 == t2
 
     def test_class_consistency(self, rng):
@@ -102,15 +113,15 @@ class TestForward:
         for _ in range(50):
             x1, x2 = rng.normal(size=4), rng.normal(size=4)
             y = rng.normal(size=3)
-            t1, b1 = N.forward(net, x1, y)
-            t2, b2 = N.forward(net, x2, y)
+            t1, b1 = predict_one(net, x1, y)
+            t2, b2 = predict_one(net, x2, y)
             if np.array_equal(b1, b2):
                 assert t1 == t2
 
     def test_dimension_mismatch(self):
         net = N.init(tiny_arch(), seed=0)
         with pytest.raises(N.DimensionMismatch):
-            N.forward(net, [1.0], [0.0, 0.0, 0.0])
+            predict_one(net, [1.0], [0.0, 0.0, 0.0])
 
 
 class TestGradients:
@@ -127,9 +138,9 @@ class TestGradients:
             )
             net = N.init(arch, seed=trial)
             batch = (rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), rng.normal(size=5))
-            _, grads = N.loss_and_gradients(net, batch)
+            _, grad = N.loss_and_gradients(net, batch)
             params = net.parameters()
-            for p, g in list(zip(params, grads))[net.ste_parameter_count() :]:
+            for p, g in list(zip(params, split_like(net, grad)))[net.ste_parameter_count() :]:
                 flat_p = p.reshape(-1)
                 flat_g = g.reshape(-1)
                 for idx in range(flat_p.size):
@@ -145,20 +156,20 @@ class TestGradients:
         net.iface[0][...] = 1.0
         net.iface[1][...] = 0.0
         batch = (np.full((4, 1), 2.0), np.linspace(0, 1, 4).reshape(4, 1), np.ones(4))
-        _, grads = N.loss_and_gradients(net, batch, ste_clip=1.0)
+        _, grad = N.loss_and_gradients(net, batch, ste_clip=1.0)
+        grads = split_like(net, grad)
         assert np.all(grads[0] == 0.0) and np.all(grads[1] == 0.0)
         # With a wide enough clip the same unit passes gradient again.
-        _, grads = N.loss_and_gradients(net, batch, ste_clip=2.0)
-        assert np.any(grads[0] != 0.0)
+        _, grad = N.loss_and_gradients(net, batch, ste_clip=2.0)
+        assert np.any(split_like(net, grad)[0] != 0.0)
 
     def test_duplicated_rows_keep_mean_semantics(self, rng):
         net = N.init(tiny_arch(k=2), seed=1)
         x, y, t = rng.normal(size=(5, 2)), rng.normal(size=(5, 3)), rng.normal(size=5)
-        loss1, grads1 = N.loss_and_gradients(net, (x, y, t))
-        loss2, grads2 = N.loss_and_gradients(net, (np.tile(x, (2, 1)), np.tile(y, (2, 1)), np.tile(t, 2)))
+        loss1, grad1 = N.loss_and_gradients(net, (x, y, t))
+        loss2, grad2 = N.loss_and_gradients(net, (np.tile(x, (2, 1)), np.tile(y, (2, 1)), np.tile(t, 2)))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
-        for g1, g2 in zip(grads1, grads2):
-            np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad1, grad2, rtol=1e-12, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         net = N.init(tiny_arch(), seed=0)
@@ -168,27 +179,25 @@ class TestGradients:
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        p = [np.array([1.0, -2.0])]
-        g = [np.zeros(2)]
-        N.adam_step(p, g, N.AdamState(), N.TrainConfig())
-        assert p[0].tolist() == [1.0, -2.0]
+        p = np.array([1.0, -2.0])
+        N.adam_step(p, np.zeros(2), N.AdamState(), N.TrainConfig())
+        assert p.tolist() == [1.0, -2.0]
 
     def test_first_step_magnitude(self):
         # Bias correction makes the first step almost exactly the learning rate.
-        p = [np.array([0.0])]
-        g = [np.array([1.0])]
-        N.adam_step(p, g, N.AdamState(), N.TrainConfig(learning_rate=0.1))
-        assert p[0][0] == pytest.approx(-0.1, rel=1e-6)
+        p = np.array([0.0])
+        N.adam_step(p, np.array([1.0]), N.AdamState(), N.TrainConfig(learning_rate=0.1))
+        assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_two_runs_identical(self, rng):
-        grads_seq = [[rng.normal(size=3)] for _ in range(10)]
+        grads_seq = [rng.normal(size=3) for _ in range(10)]
         outs = []
         for _ in range(2):
-            p = [np.zeros(3)]
+            p = np.zeros(3)
             state = N.AdamState()
             for g in grads_seq:
                 N.adam_step(p, g, state, N.TrainConfig())
-            outs.append(p[0].copy())
+            outs.append(p.copy())
         assert np.array_equal(outs[0], outs[1])
 
 
@@ -279,8 +288,7 @@ class TestMetrics:
         net = N.init(arch, seed=0)
         net.normalizer = D.fit_normalizer(ds)
         net.schema = schema
-        for p in net.parameters():
-            p[...] = 0.0  # predicts normalized 0 == raw mean everywhere
+        net.flat[...] = 0.0  # predicts normalized 0 == raw mean everywhere
         assert N.r2(net, ds) == pytest.approx(0.0)
         assert N.max_abs_residual(net, ds) == pytest.approx(1.5)
 
@@ -290,8 +298,7 @@ class TestMetrics:
         net = N.init(N.Architecture(0, 1, 0, (), (), ()), seed=0)
         net.normalizer = D.fit_normalizer(ds)
         net.schema = schema
-        for p in net.parameters():
-            p[...] = 0.0  # predicts the constant exactly
+        net.flat[...] = 0.0  # predicts the constant exactly
         assert N.r2(net, ds) == 1.0
 
 
@@ -309,8 +316,8 @@ class TestSaveLoad:
         for _ in range(100):
             x = rng.normal(size=3)
             y = rng.normal(size=7)
-            t1, b1 = N.forward(net, x, y)
-            t2, b2 = N.forward(loaded, x, y)
+            t1, b1 = predict_one(net, x, y)
+            t2, b2 = predict_one(loaded, x, y)
             assert t1 == t2 and np.array_equal(b1, b2)
 
     def test_corrupt_json(self, tmp_path):
@@ -327,3 +334,164 @@ class TestSaveLoad:
         path.write_text(__import__("json").dumps(obj), encoding="utf-8")
         with pytest.raises(N.SchemaVersionMismatch):
             N.load(path)
+
+
+# ---------------------------------------------------------------------------
+# Per-array reference: every weight and bias its own array, gradients found
+# by object identity and Adam looping over the arrays. The flat layout must
+# reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class LooseNet:
+    def __init__(self, net):
+        def own(layer):
+            return layer[0].copy(), layer[1].copy()
+
+        self.arch = net.arch
+        self.k = net.k
+        self.secret_layers = [own(l) for l in net.secret_layers]
+        self.iface = own(net.iface) if net.iface is not None else None
+        self.public_layers = [own(l) for l in net.public_layers]
+        self.joint_layers = [own(l) for l in net.joint_layers]
+        self.out_layer = own(net.out_layer)
+
+    def parameters(self):
+        iface = [self.iface] if self.iface is not None else []
+        layers = [*self.secret_layers, *iface, *self.public_layers, *self.joint_layers, self.out_layer]
+        return [a for layer in layers for a in layer]
+
+
+def reference_loss_and_gradients(net, batch, ste_clip):
+    xn, yn, tn = batch
+    cache = N._forward_cache(net, xn, yn)
+    resid = cache["t_hat"] - tn
+    grads = {}
+
+    def put(param, grad):
+        grads[id(param)] = grad
+
+    def back(layers, ins, zs, dh):
+        for (w, b), h_in, z in zip(reversed(layers), reversed(ins), reversed(zs)):
+            dz = dh * (z > 0)
+            put(w, dz.T @ h_in)
+            put(b, dz.sum(axis=0))
+            dh = dz @ w
+        return dh
+
+    dz = (2.0 / tn.shape[0]) * resid[:, None]
+    put(net.out_layer[0], dz.T @ cache["joint_out"])
+    put(net.out_layer[1], dz.sum(axis=0))
+    dh = back(net.joint_layers, cache["joint_in"], cache["joint_z"], dz @ net.out_layer[0])
+    if net.k > 0:
+        da = dh[:, : net.k] * (np.abs(cache["iface_preact"]) <= ste_clip)
+        put(net.iface[0], da.T @ cache["sec_out"])
+        put(net.iface[1], da.sum(axis=0))
+        back(net.secret_layers, cache["sec_in"], cache["sec_z"], da @ net.iface[0])
+    back(net.public_layers, cache["pub_in"], cache["pub_z"], dh[:, net.k :])
+    return float(np.mean(resid**2)), [grads[id(p)] for p in net.parameters()]
+
+
+def reference_adam_step(params, grads, moments, t, config):
+    b1, b2 = config.beta1, config.beta2
+    for p, g, m, v in zip(params, grads, *moments):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g**2
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps_adam)
+
+
+def reference_train(ds_train, ds_valid, arch, config):
+    norm = D.fit_normalizer(ds_train)
+    tr = (norm.map_secrets(ds_train.x), norm.map_publics(ds_train.y), norm.map_time(ds_train.t))
+    va = (norm.map_secrets(ds_valid.x), norm.map_publics(ds_valid.y), norm.map_time(ds_valid.t))
+    net = LooseNet(N.init(arch, config.seed))
+    params = net.parameters()
+    moments = ([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+
+    def sse(x, y, t):
+        return float(np.sum((N.predict_batch(net, x, y)[0] - t) ** 2))
+
+    history, best_valid, best, stall, t = [], np.inf, [p.copy() for p in params], 0, 0
+    for epoch in range(config.max_epochs):
+        order = np.random.default_rng([config.seed, epoch]).permutation(ds_train.n_rows)
+        for start in range(0, ds_train.n_rows, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, grads = reference_loss_and_gradients(net, tuple(a[idx] for a in tr), config.ste_clip)
+            t += 1
+            reference_adam_step(params, grads, moments, t, config)
+        history.append((sse(*tr), sse(*va)))
+        if history[-1][1] < best_valid - 1e-12:
+            best_valid, best, stall = history[-1][1], [p.copy() for p in params], 0
+        else:
+            stall += 1
+            if stall >= config.patience:
+                break
+    return best, history
+
+
+class TestFlatParameters:
+    def test_layers_are_views_of_flat(self, tmp_path):
+        net = N.init(tiny_arch(k=2), seed=4)
+        N.save(net, tmp_path / "m.json")
+        for built in (net, N.from_json(N.to_json(net)), N.load(tmp_path / "m.json")):
+            assert built.flat.shape == (N.parameter_count(built.arch),)
+            assert np.array_equal(built.flat, net.flat)
+            assert all(np.shares_memory(p, built.flat) for p in built.parameters())
+            assert np.array_equal(np.concatenate([p.ravel() for p in built.parameters()]), built.flat)
+
+    def test_in_place_layer_edit_reaches_predictions(self, rng):
+        net = N.init(tiny_arch(k=2), seed=4)
+        x, y = rng.normal(size=(20, 2)), rng.normal(size=(20, 3))
+        t0, b0 = N.predict_batch(net, x, y)
+        net.iface[1][...] = 10.0  # every interface bit on
+        t1, b1 = N.predict_batch(net, x, y)
+        assert np.all(b1 == 1) and not np.array_equal(b0, b1) and not np.array_equal(t0, t1)
+        net.flat[...] = 0.0
+        assert np.all(net.out_layer[0] == 0.0)
+        assert np.all(N.predict_batch(net, x, y)[0] == 0.0)
+
+    def test_extracted_reducer_owns_its_arrays(self, rng):
+        net = random_reducer_net(rng, 5, 2, (4,))
+        reducer = C.extract_reducer(net)
+        before = [a.copy() for a in (reducer.hidden[0][0], reducer.hidden[0][1], reducer.iface_w, reducer.iface_b)]
+        net.flat += 1.0
+        after = (reducer.hidden[0][0], reducer.hidden[0][1], reducer.iface_w, reducer.iface_b)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_from_json_rejects_misshapen_weights(self):
+        obj = N.to_json(N.init(tiny_arch(), seed=0))
+        obj["weights"]["out"]["w"] = [[1.0, 2.0]]
+        with pytest.raises(N.ModelFormatError):
+            N.from_json(obj)
+
+    def test_steps_match_per_array_reference(self, rng):
+        arch = N.Architecture(3, 7, 3, (10,), (10,), (20,))
+        net = N.init(arch, seed=2)
+        ref = LooseNet(net)
+        config = N.TrainConfig(learning_rate=0.02)
+        state = N.AdamState()
+        moments = ([np.zeros_like(p) for p in ref.parameters()], [np.zeros_like(p) for p in ref.parameters()])
+        for t in range(1, 4):
+            batch = (rng.integers(0, 2, size=(32, 3)).astype(float), rng.normal(size=(32, 7)), rng.normal(size=32))
+            loss, grad = N.loss_and_gradients(net, batch, ste_clip=4.0)
+            ref_loss, ref_grads = reference_loss_and_gradients(ref, batch, ste_clip=4.0)
+            assert loss == ref_loss
+            assert all(np.array_equal(g, r) for g, r in zip(split_like(net, grad), ref_grads))
+            N.adam_step(net.flat, grad, state, config)
+            reference_adam_step(ref.parameters(), ref_grads, moments, t, config)
+            assert all(np.array_equal(p, r) for p, r in zip(net.parameters(), ref.parameters()))
+
+    def test_training_matches_per_array_reference(self):
+        ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
+        trainval, _ = D.split(ds, 0.1, 0)
+        tr, va = D.split(trainval, 0.1, 1)
+        arch = N.Architecture(2, 7, 1, (5,), (5,), (10,))
+        config = quick_config(max_epochs=25, seed=9)
+        net, history = N.train(tr, va, arch, config)
+        ref_params, ref_history = reference_train(tr, va, arch, config)
+        assert history == ref_history and len(history) == 25
+        assert all(np.array_equal(p, r) for p, r in zip(net.parameters(), ref_params))
