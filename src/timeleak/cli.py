@@ -9,7 +9,6 @@ success, 2 generation, 3 training, 4 analysis, 5 reporting.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,13 +32,12 @@ class CliError(Exception):
 class Manifest:
     """Per-run record: command, argument echo, input hashes, stage timings.
 
-    The hash excludes filesystem paths, wall-clock fields, and execution-only
-    knobs (--threads) so that re-running the same command on the same data
-    elsewhere yields the same hash and hence byte-identical downstream
-    artifacts.
+    The hash excludes filesystem paths and wall-clock fields so that
+    re-running the same command on the same data elsewhere yields the same
+    hash and hence byte-identical downstream artifacts.
     """
 
-    _UNHASHED_ARGS = {"out", "out_dir", "data", "model", "census", "sweep", "config", "sidecar", "threads"}
+    _UNHASHED_ARGS = {"out", "out_dir", "data", "model", "census", "sweep", "config", "sidecar"}
 
     def __init__(self, command: str, args: dict):
         self.command = command
@@ -138,15 +136,6 @@ def _architecture(args, schema: dataset.FeatureSchema, k: int) -> network.Archit
     )
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TIMELEAK_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1  # threads measurably slow the sweep, so parallelism is opt-in
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -211,7 +200,6 @@ def cmd_sweep(args) -> int:
         seeds_per_k=args.seeds_per_k,
         tau=args.tau,
         test_fraction=args.test_fraction,
-        threads=_threads(args),
     )
     manifest.stage_done("train_sweep")
 
@@ -389,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-per-k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=None, help="optional max-residual tolerance")
-    p.add_argument("--threads", type=int, default=None)
     _add_train_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -10,14 +10,13 @@ share cap semantics: a class's count freezes at the cap once reached.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import Binary, Domain, FeatureSchema
-from .network import TriBranchNetwork, secret_interface_bits
+from .network import TriBranchNetwork, predict_batch
 
 BRUTE_FORCE_LIMIT = 2**20
 DEFAULT_NODE_BUDGET = 10**8
@@ -29,6 +28,9 @@ DECISION_MARGIN = 1e-9
 
 # Boxes at most this large are enumerated exactly instead of split further.
 LEAF_ENUM_LIMIT = 256
+
+# Points evaluated per batch when a box is enumerated.
+ENUM_BLOCK = 65536
 
 
 class CounterError(Exception):
@@ -53,7 +55,7 @@ class ExtractionMismatch(CounterError):
 
 @dataclass(frozen=True)
 class SecretDomain:
-    """Finite per-feature integer ranges, enumerable in lexicographic order."""
+    """Finite per-feature integer ranges: the box [los, his] of raw secrets."""
 
     los: tuple[int, ...]
     his: tuple[int, ...]
@@ -78,23 +80,6 @@ class SecretDomain:
         for lo, hi in zip(self.los, self.his):
             total *= hi - lo + 1
         return total
-
-    def enumerate_blocks(self, block_size: int = 65536):
-        """Yield float matrices of domain points in lexicographic order."""
-        sizes = [hi - lo + 1 for lo, hi in zip(self.los, self.his)]
-        strides = np.ones(self.n_features, dtype=np.float64)
-        for j in range(self.n_features - 2, -1, -1):
-            strides[j] = strides[j + 1] * sizes[j + 1]
-        total = self.size
-        lo_arr = np.asarray(self.los, dtype=np.float64)
-        size_arr = np.asarray(sizes, dtype=np.float64)
-        start = 0
-        while start < total:
-            stop = min(start + block_size, total)
-            idx = np.arange(start, stop, dtype=np.float64)[:, None]
-            coords = lo_arr + np.floor(idx / strides) % size_arr
-            yield coords
-            start = stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +139,8 @@ def extract_reducer(net: TriBranchNetwork, self_check_points: int = 1000) -> Red
         rng = np.random.default_rng(0)
         cols = [rng.integers(d.lo, d.hi + 1, size=self_check_points) for d in reducer.domains]
         x = np.stack(cols, axis=1).astype(np.float64)
-        parent = secret_interface_bits(net, net.normalizer.map_secrets(x))
+        no_public = np.zeros((self_check_points, net.arch.n_public))
+        parent = predict_batch(net, net.normalizer.map_secrets(x), no_public)[1]
         if not np.array_equal(parent, reducer.bits(x)):
             raise ExtractionMismatch("extracted reducer disagrees with the parent network")
     return reducer
@@ -233,7 +219,7 @@ class ClassCensus:
 
 
 def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> ClassCensus:
-    """Build a census for known class sizes (helper for reports and tests)."""
+    """Build a census for known class sizes, each count capped at `cap`."""
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise CounterError("need at least one class size")
@@ -252,6 +238,24 @@ def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> Cl
     return ClassCensus(k=k, cap=cap, counts=tuple(counts), cap_hits=tuple(hits), true_counts=tuple(sizes) + (0,) * (2**k - len(sizes)))
 
 
+def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK) -> np.ndarray:
+    """Count per valuation over every integer point of the box [los, his].
+
+    Points are listed in lexicographic order (last feature fastest) by
+    decoding their mixed-radix index, and evaluated `block` at a time.
+    """
+    lo = np.asarray(los, dtype=np.int64)
+    sizes = np.asarray(his, dtype=np.int64) - lo + 1
+    strides = np.cumprod(np.append(1, sizes[:0:-1]))[::-1]
+    tally = np.zeros(2**reducer.k, dtype=np.int64)
+    total = math.prod(sizes.tolist())
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)[:, None]
+        points = (lo + idx // strides % sizes).astype(np.float64)
+        tally += np.bincount(reducer.valuations(points), minlength=tally.size)
+    return tally
+
+
 def brute_force_census(reducer: ReducerNet, dom: SecretDomain, cap: int | None = None) -> ClassCensus:
     """Evaluate the reducer on every domain element and tally exactly.
 
@@ -263,27 +267,8 @@ def brute_force_census(reducer: ReducerNet, dom: SecretDomain, cap: int | None =
         raise DomainTooLarge(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
     if dom.n_features != reducer.n_features:
         raise CounterError("domain does not match reducer input width")
-    k = reducer.k
-    true_counts = np.zeros(2**k, dtype=np.int64)
-    for block in dom.enumerate_blocks():
-        true_counts += np.bincount(reducer.valuations(block), minlength=2**k)
-    counts, hits = [], []
-    for c in true_counts:
-        c = int(c)
-        if cap is not None and c >= cap:
-            counts.append(cap)
-            hits.append(True)
-        else:
-            counts.append(c)
-            hits.append(False)
-    return ClassCensus(
-        k=k,
-        cap=cap,
-        counts=tuple(counts),
-        cap_hits=tuple(hits),
-        nodes=total,
-        true_counts=tuple(int(c) for c in true_counts),
-    )
+    census = census_from_sizes(_tally(reducer, dom.los, dom.his), cap, reducer.k)
+    return replace(census, nodes=total)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +310,6 @@ def propagate_bounds(reducer: ReducerNet, box) -> tuple[np.ndarray, np.ndarray]:
     return _propagate(_split_weights(reducer), reducer.input_shift, reducer.input_denom, lo, hi)
 
 
-def _box_points(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    axes = [np.arange(lo, hi + 1, dtype=np.float64) for lo, hi in zip(los, his)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1)
-
-
 def bnb_census(
     reducer: ReducerNet,
     dom: SecretDomain,
@@ -354,9 +333,9 @@ def bnb_census(
     k = reducer.k
     n_vals = 2**k
     counts: list[int] = [0] * n_vals
-    capped = [False] * n_vals
-    pow2 = [1 << (k - 1 - i) for i in range(k)]
-    pow2_arr = np.asarray(pow2, dtype=np.int64)
+    capped = np.zeros(n_vals, dtype=bool)
+    all_vals = np.arange(n_vals)
+    pow2 = 1 << np.arange(k - 1, -1, -1)
     split = _split_weights(reducer)
     shift, denom = reducer.input_shift, reducer.input_denom
     binary_mask = np.asarray([isinstance(d, Binary) for d in reducer.domains])
@@ -390,23 +369,17 @@ def bnb_census(
         for lo, hi in zip(los.tolist(), his.tolist()):
             size *= hi - lo + 1
 
+        base = int(det_one @ pow2)
         if not free.any():
-            v = int(det_one.astype(np.int64) @ pow2_arr)
-            add(v, size)
+            add(base, size)
             continue
 
-        free_pows = [p for p, f in zip(pow2, free) if f]
-        if any(capped) and len(free_pows) <= 16:
-            base = sum(p for p, d in zip(pow2, det_one) if d)
-            if all(
-                capped[base + sum(p for p, pick in zip(free_pows, combo) if pick)]
-                for combo in itertools.product((0, 1), repeat=len(free_pows))
-            ):
-                continue
+        # Prune when every valuation that agrees with the decided bits is capped.
+        if capped.any() and capped[(all_vals & int(~free @ pow2)) == base].all():
+            continue
 
         if size <= leaf_limit:
-            vals = reducer.valuations(_box_points(los, his))
-            tally = np.bincount(vals, minlength=n_vals)
+            tally = _tally(reducer, los, his)
             for v in np.nonzero(tally)[0]:
                 add(int(v), int(tally[v]))
             continue
@@ -430,7 +403,7 @@ def bnb_census(
         k=k,
         cap=cap,
         counts=tuple(counts),
-        cap_hits=tuple(capped),
+        cap_hits=tuple(capped.tolist()),
         complete=complete,
         nodes=nodes,
     )

@@ -19,9 +19,6 @@ import numpy as np
 # Offset added to generated times so multiplicative noise acts on a positive base.
 GEN_BASE_TIME = 10.0
 
-# Secret domains larger than this are reported as unbounded for display purposes.
-DOMAIN_SIZE_UNBOUNDED = 2**128
-
 
 class DatasetError(ValueError):
     """Base class for trace-data errors."""
@@ -116,15 +113,6 @@ class FeatureSchema:
     @property
     def n_public(self) -> int:
         return len(self.public_features)
-
-    def secret_domain_size(self) -> int:
-        size = 1
-        for _, dom in self.secret_features:
-            size *= dom.size
-        return size
-
-    def secret_domain_bounded(self) -> bool:
-        return self.secret_domain_size() <= DOMAIN_SIZE_UNBOUNDED
 
 
 class TraceDataset:

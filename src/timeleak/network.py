@@ -209,23 +209,6 @@ def init(arch: Architecture, seed: int) -> TriBranchNetwork:
     return TriBranchNetwork(arch, flat, seed=seed)
 
 
-def binarize(preact: np.ndarray) -> np.ndarray:
-    """Threshold to bits: 1 where the pre-activation is >= 0 (ties map to 1)."""
-    a = np.asarray(preact, dtype=np.float64)
-    return (a >= 0).astype(np.int64)
-
-
-def secret_interface_bits(net: TriBranchNetwork, xn: np.ndarray) -> np.ndarray:
-    """Interface bits for a batch of normalized secret vectors; shape (rows, k)."""
-    if net.k == 0:
-        return np.zeros((xn.shape[0], 0), dtype=np.int64)
-    h = xn
-    for w, b in net.secret_layers:
-        h = np.maximum(h @ w.T + b, 0.0)
-    a = h @ net.iface[0].T + net.iface[1]
-    return (a >= 0).astype(np.int64)
-
-
 def _forward_cache(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> dict:
     cache: dict = {}
     rows = yn.shape[0] if net.arch.n_public else xn.shape[0]

@@ -7,7 +7,6 @@ model needs secret information, i.e. a leak.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -160,7 +159,6 @@ def sweep_k(
     seeds_per_k: int = 3,
     tau: float = DEFAULT_TAU,
     test_fraction: float = 0.1,
-    threads: int | None = None,
 ) -> SweepResult:
     """Train `seeds_per_k` models per interface width, keep the best test-SSE
     model per k, and pick k* by the elbow rule.
@@ -176,29 +174,17 @@ def sweep_k(
     trainval, test = split(ds, test_fraction, config.seed)
     train_ds, valid_ds = split(trainval, test_fraction, config.seed + 1)
 
-    jobs = [(k, i) for k in range(k_max + 1) for i in range(seeds_per_k)]
-
-    def run(job: tuple[int, int]):
-        k, i = job
-        cfg = replace(config, seed=derive_seed(config.seed, k, i))
-        arch = replace(arch_template, k=k)
-        try:
-            net, _ = train(train_ds, valid_ds, arch, cfg)
-        except Exception as exc:
-            raise SweepError(f"training failed at k={k} (seed {cfg.seed}): {exc}") from exc
-        return job, cfg.seed, net, sse(net, test)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-    results = {job: (seed, net, test_sse) for job, seed, net, test_sse in outcomes}
-
     records = []
     for k in range(k_max + 1):
-        best = min(range(seeds_per_k), key=lambda i: (results[(k, i)][2], i))
-        seed, net, test_sse = results[(k, best)]
+        candidates = []
+        for i in range(seeds_per_k):
+            cfg = replace(config, seed=derive_seed(config.seed, k, i))
+            try:
+                net, _ = train(train_ds, valid_ds, replace(arch_template, k=k), cfg)
+            except Exception as exc:
+                raise SweepError(f"training failed at k={k} (seed {cfg.seed}): {exc}") from exc
+            candidates.append((sse(net, test), i, cfg.seed, net))
+        test_sse, _, seed, net = min(candidates, key=lambda c: c[:2])
         records.append(
             KRecord(
                 k=k,

@@ -57,7 +57,7 @@ def run_preset_pipeline(root: Path, name: str) -> dict:
     ) == 0
     assert main(
         ["sweep", "--data", str(csv), "--k-max", "3", "--tau", "0.05",
-         "--seeds-per-k", "3", "--seed", str(BASE_SEED), "--threads", "1",
+         "--seeds-per-k", "3", "--seed", str(BASE_SEED),
          "--secret-widths", sw, "--public-widths", pw, "--joint-widths", jw]
         + TRAIN_FLAGS + ["--out-dir", str(d / "sweep")]
     ) == 0
@@ -222,7 +222,7 @@ def test_criterion_5_noninterference_negative_control(tmp_path):
             out_dir = tmp_path / f"run{seed}"
             assert main(
                 ["sweep", "--data", str(csv), "--k-max", "2", "--seeds-per-k", "3",
-                 "--seed", str(seed), "--threads", "1",
+                 "--seed", str(seed),
                  "--secret-widths", "6", "--public-widths", "6", "--joint-widths", "12"]
                 + TRAIN_FLAGS + ["--out-dir", str(out_dir)]
             ) == 0

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from timeleak import cli
 from timeleak import dataset as D
 from timeleak import network as N
 from timeleak.cli import main
@@ -70,7 +69,7 @@ def artifacts(tmp_path_factory):
     csv = gen_r2(tmp_path)
     sweep_dir = tmp_path / "sweep"
     rc = main(
-        ["sweep", "--data", str(csv), "--k-max", "2", "--seeds-per-k", "2", "--seed", "1", "--threads", "1"]
+        ["sweep", "--data", str(csv), "--k-max", "2", "--seeds-per-k", "2", "--seed", "1"]
         + QUICK_TRAIN
         + ["--out-dir", str(sweep_dir)]
     )
@@ -179,39 +178,12 @@ class TestTrainCommand:
         assert "test SSE" in capsys.readouterr().out
 
 
-class TestThreadsEnv:
-    def test_env_var_mirrors_flag(self, tmp_path, monkeypatch):
-        csv = gen_r2(tmp_path)
-        outs = {}
-        for label, env in (("one", "1"), ("two", "2")):
-            monkeypatch.setenv("TIMELEAK_THREADS", env)
-            out_dir = tmp_path / label
-            rc = main(
-                ["sweep", "--data", str(csv), "--k-max", "1", "--seeds-per-k", "1", "--seed", "1"]
-                + QUICK_TRAIN
-                + ["--out-dir", str(out_dir)]
-            )
-            assert rc == 0
-            outs[label] = (out_dir / "sweep.json").read_bytes()
-        assert outs["one"] == outs["two"]
-
-    def test_default_is_one_thread(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("TIMELEAK_THREADS", raising=False)
-        seen = []
-        real_sweep_k = cli.sweep_mod.sweep_k
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs["threads"])
-            return real_sweep_k(*args, **kwargs)
-
-        monkeypatch.setattr(cli.sweep_mod, "sweep_k", spy)
-        csv = gen_r2(tmp_path, rows=120)
-        rc = main(
-            ["sweep", "--data", str(csv), "--k-max", "1", "--seeds-per-k", "1", "--seed", "1"]
-            + QUICK_TRAIN
-            + ["--max-epochs", "5", "--out-dir", str(tmp_path / "out")]
-        )
-        assert rc == 0 and seen == [1]
+class TestSweepFlags:
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", str(tmp_path / "t.csv"), "--threads", "1", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -238,7 +210,7 @@ class TestTauMonotonicity:
             out_dir = tmp_path / f"sweep_{tau}"
             rc = main(
                 ["sweep", "--data", str(csv), "--k-max", "2", "--seeds-per-k", "2", "--seed", "1",
-                 "--tau", tau, "--threads", "1"] + QUICK_TRAIN + ["--out-dir", str(out_dir)]
+                 "--tau", tau] + QUICK_TRAIN + ["--out-dir", str(out_dir)]
             )
             assert rc == 0
             ks[tau] = json.loads((out_dir / "sweep.json").read_text())["k_star"]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,24 @@ def hand_reducer(weights, bias, domains, hidden=()):
     )
 
 
+def straddling_reducer(rng, domains, hidden=8, k=3):
+    """Random one-hidden-layer reducer over raw features scaled to [0, 1],
+    with interface biases that put every bit's threshold at a random
+    off-lattice point of the domain, so that the bits vary across it."""
+    lo = np.array([d.lo for d in domains], dtype=np.float64)
+    hi = np.array([d.hi for d in domains], dtype=np.float64)
+    reducer = C.ReducerNet(
+        input_shift=lo,
+        input_denom=hi - lo,
+        hidden=((rng.normal(size=(hidden, len(domains))), rng.normal(size=hidden)),),
+        iface_w=rng.normal(size=(k, hidden)),
+        iface_b=np.zeros(k),
+        domains=tuple(domains),
+    )
+    reducer.iface_b[...] = -reducer.preactivations(rng.uniform(lo, hi)[None, :])[0]
+    return reducer
+
+
 @pytest.fixture
 def and_gate_reducer():
     # preact = x0 + x1 - 1.5 over the 2-bit domain: bit 1 only at (1, 1)
@@ -32,7 +52,7 @@ class TestExtractReducer:
         net = random_reducer_net(rng, n_secret=6, k=3, hidden=(8,))
         reducer = C.extract_reducer(net)
         x = rng.integers(0, 2, size=(500, 6)).astype(np.float64)
-        parent_bits = N.secret_interface_bits(net, net.normalizer.map_secrets(x))
+        _, parent_bits = N.predict_batch(net, net.normalizer.map_secrets(x), np.zeros((500, net.arch.n_public)))
         assert np.array_equal(parent_bits, reducer.bits(x))
 
     def test_k0_rejected(self):
@@ -48,6 +68,29 @@ class TestExtractReducer:
         net = random_reducer_net(rng, n_secret=1024, k=6, hidden=(50, 50))
         reducer = C.extract_reducer(net)
         assert reducer.k == 6 and reducer.n_features == 1024
+
+
+class TestReducerBits:
+    def test_threshold_with_tie(self):
+        # preact = x0 - x1: 1 at (1, 0), -1 at (0, 1), exactly 0.0 at (1, 1).
+        reducer = hand_reducer([[1.0, -1.0]], [0.0], (D.Binary(), D.Binary()))
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert reducer.bits(x).tolist() == [[1], [0], [1]]
+
+
+class TestTally:
+    def test_mixed_box_matches_explicit_listing(self, rng):
+        # Negative integer lo, a fixed and a free binary axis, and a block
+        # size that splits the 96-point box unevenly.
+        domains = (D.IntRange(-5, 5), D.Binary(), D.Binary(), D.IntRange(-3, 3))
+        reducer = straddling_reducer(rng, domains)
+        los, his = (-4, 1, 0, -3), (3, 1, 1, 2)
+        points = np.array(list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))), dtype=np.float64)
+        expected = np.bincount(reducer.valuations(points), minlength=8)
+        tally = C._tally(reducer, los, his, block=7)
+        assert tally.tolist() == expected.tolist()
+        assert np.count_nonzero(tally) > 1
+        assert tally.sum() == 8 * 1 * 2 * 6
 
 
 class TestBruteForce:
@@ -129,21 +172,53 @@ class TestBnb:
             reducer = C.extract_reducer(net, self_check_points=0)
             dom = C.SecretDomain(los=(0,) * n, his=(1,) * n)
             for cap in (1, 5, dom.size):
-                assert C.bnb_census(reducer, dom, cap=cap) == C.brute_force_census(reducer, dom, cap=cap)
+                oracle = C.brute_force_census(reducer, dom, cap=cap)
+                for leaf_limit in (1, 16, C.LEAF_ENUM_LIMIT, dom.size):
+                    assert C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit) == oracle
 
     def test_int_range_domains(self, rng):
-        # Non-binary features exercise the bisection branch.
-        reducer = C.ReducerNet(
-            input_shift=np.array([0.0, -5.0]),
-            input_denom=np.array([10.0, 10.0]),
-            hidden=((rng.normal(size=(4, 2)), rng.normal(size=4)),),
-            iface_w=rng.normal(size=(2, 4)),
-            iface_b=rng.normal(size=2),
-            domains=(D.IntRange(0, 10), D.IntRange(-5, 5)),
-        )
+        # Non-binary features exercise the bisection branch once the
+        # 121-point domain exceeds the leaf limit.
+        reducer = straddling_reducer(rng, (D.IntRange(0, 10), D.IntRange(-5, 5)), hidden=4, k=2)
         dom = C.SecretDomain(los=(0, -5), his=(10, 5))
         for cap in (1, 7, dom.size):
-            assert C.bnb_census(reducer, dom, cap=cap) == C.brute_force_census(reducer, dom, cap=cap)
+            oracle = C.brute_force_census(reducer, dom, cap=cap)
+            assert oracle.feasible_count > 1
+            for leaf_limit in (1, 16, C.LEAF_ENUM_LIMIT, dom.size):
+                census = C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit)
+                assert census == oracle
+                assert leaf_limit >= dom.size or census.nodes > 1
+
+    def test_wide_int_range_with_binary_bits(self, rng):
+        # 2001 x 2^6 = 128,064 points: bisection down to leaves of mixed
+        # widths, and a brute force that spans more than one point block.
+        n_bits = 6
+        reducer = straddling_reducer(rng, (D.IntRange(-1000, 1000),) + (D.Binary(),) * n_bits)
+        dom = C.SecretDomain(los=(-1000,) + (0,) * n_bits, his=(1000,) + (1,) * n_bits)
+        assert dom.size == 128_064 > C.ENUM_BLOCK
+        for cap in (1, 100, dom.size):
+            census = C.bnb_census(reducer, dom, cap=cap)
+            oracle = C.brute_force_census(reducer, dom, cap=cap)
+            assert census == oracle
+            assert census.nodes > 1 and oracle.feasible_count > 1
+
+    def test_cap_prune_past_sixteen_free_bits(self):
+        # k = 17 over 10 bits: bits 0-4 read x0-x4, bits 5-15 copy x0 and bit
+        # 16 reads x9, so all 17 bits are free at the root. At cap 1 the mask
+        # test runs over 2^17 valuations and prunes boxes whose classes are
+        # already capped.
+        w = np.zeros((17, 10))
+        w[np.arange(5), np.arange(5)] = 1.0
+        w[5:16, 0] = 1.0
+        w[16, 9] = 1.0
+        reducer = hand_reducer(w, [-0.5] * 17, (D.Binary(),) * 10)
+        dom = C.SecretDomain(los=(0,) * 10, his=(1,) * 10)
+        lb, ub = C.propagate_bounds(reducer, list(zip(dom.los, dom.his)))
+        assert np.sum((lb < C.DECISION_MARGIN) & (ub >= -C.DECISION_MARGIN)) == 17
+        census = C.bnb_census(reducer, dom, cap=1, leaf_limit=4)
+        assert census == C.brute_force_census(reducer, dom, cap=1)
+        assert census.feasible_count == 64
+        assert census.nodes < C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=4).nodes
 
     def test_completeness_sums_to_domain_size(self, rng):
         net = random_reducer_net(rng, n_secret=7, k=3, hidden=(6,))

@@ -93,14 +93,6 @@ class TestSchema:
         with pytest.raises(D.DatasetError):
             D.IntRange(5, 5)
 
-    def test_domain_size_and_bound_flag(self):
-        small = D.FeatureSchema(tuple((f"s_{j}", D.Binary()) for j in range(10)), ())
-        assert small.secret_domain_size() == 1024
-        assert small.secret_domain_bounded()
-        big = D.FeatureSchema(tuple((f"s_{j}", D.Binary()) for j in range(130)), ())
-        assert big.secret_domain_size() == 2**130
-        assert not big.secret_domain_bounded()
-
 
 class TestSplit:
     def test_sizes_and_determinism(self):

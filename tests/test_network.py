@@ -75,17 +75,6 @@ class TestInit:
         assert net.out_layer[0].shape == (1, 200)
 
 
-class TestBinarize:
-    def test_threshold_with_tie(self):
-        assert N.binarize([0.3, -0.2, 0.0]).tolist() == [1, 0, 1]
-
-    def test_all_negative(self):
-        assert N.binarize([-1.0, -0.5]).tolist() == [0, 0]
-
-    def test_empty(self):
-        assert N.binarize(np.zeros(0)).shape == (0,)
-
-
 def predict_one(net, x, y):
     """Prediction and bits for one normalized sample, through a one-row batch."""
     t_hat, bits = N.predict_batch(net, np.asarray(x, dtype=float).reshape(1, -1), np.asarray(y, dtype=float).reshape(1, -1))

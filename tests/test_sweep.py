@@ -126,13 +126,6 @@ class TestSweepK:
         assert not result.verdict.leak
         assert result.record(0).test_sse <= result.record(2).test_sse * 1.1
 
-    def test_thread_invariance(self, public_only_ds):
-        arch = N.Architecture(4, 5, 0, (6,), (6,), (12,))
-        cfg = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, seed=3)
-        serial = S.sweep_k(public_only_ds, arch, k_max=1, config=cfg, seeds_per_k=2, threads=1)
-        threaded = S.sweep_k(public_only_ds, arch, k_max=1, config=cfg, seeds_per_k=2, threads=4)
-        assert serial.to_json() == threaded.to_json()
-
     def test_leak_detected_on_secret_dependent_data(self):
         ds = D.gen_rn_preset("R_2", rows=400, noise_std=0.02, seed=1)
         arch = N.Architecture(2, 7, 0, (5,), (5,), (10,))
