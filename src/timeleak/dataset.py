@@ -35,6 +35,13 @@ class NonNumericCell(DatasetError):
         self.col = col
 
 
+class NonFiniteCell(DatasetError):
+    def __init__(self, row: int, col: str, value: str):
+        super().__init__(f"non-finite cell at row {row}, column {col!r}: {value!r}")
+        self.row = row
+        self.col = col
+
+
 class SecretValueOutOfDomain(DatasetError):
     def __init__(self, row: int, col: str, value: float):
         super().__init__(f"secret value {value!r} at row {row} outside domain of {col!r}")
@@ -234,6 +241,12 @@ def load_csv(path, sidecar=None) -> TraceDataset:
                 parsed[r, c] = float(cell)
             except ValueError:
                 raise NonNumericCell(r + 2, header[c], cell) from None
+    # Column by column, so the mask stays one column long.
+    for c, name in enumerate(header):
+        finite = np.isfinite(parsed[:, c])
+        if not finite.all():
+            r = int(np.argmin(finite))
+            raise NonFiniteCell(r + 2, name, rows[r][c])
 
     x = parsed[:, [i for i, _ in secret_cols]]
     y = parsed[:, [i for i, _ in public_cols]]

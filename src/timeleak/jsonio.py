@@ -8,7 +8,9 @@ from pathlib import Path
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; NaN and infinities raise ValueError, since they
+    are not JSON and mark a broken result."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def sha256_hex(data) -> str:

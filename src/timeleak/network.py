@@ -4,7 +4,9 @@ The secret branch ends in a k-bit hard-threshold interface; the joint branch
 reads only those k bits plus the public branch output, so the predicted time
 depends on the secret input solely through the interface valuation. Training
 uses mini-batch Adam with a straight-through surrogate gradient at the
-threshold.
+threshold. The seeds of one architecture train together as one stacked
+network whose parameters are an (M, P) matrix, one row per model; each
+model gets the same bits it would get training alone.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ class DimensionMismatch(NetworkError):
 
 
 class NonFiniteLoss(NetworkError):
-    def __init__(self, message: str, epoch: int | None = None):
+    def __init__(self, message: str, epoch: int | None = None, seed: int | None = None):
         super().__init__(message)
         self.epoch = epoch
+        self.seed = seed
 
 
 class ModelFormatError(NetworkError):
@@ -145,9 +148,11 @@ def parameter_count(arch: Architecture) -> int:
 
 
 def layer_views(arch: Architecture, vec: np.ndarray) -> list[Layer]:
-    """Weight/bias views into a vector laid out like `TriBranchNetwork.flat`."""
+    """Weight/bias views into a vector laid out like `TriBranchNetwork.flat`;
+    for an (M, P) matrix of such rows the views lead with the model axis."""
+    lead = vec.shape[:-1]
     return [
-        (vec[at : at + n_out * n_in].reshape(n_out, n_in), vec[at + n_out * n_in : at + n_out * (n_in + 1)])
+        (vec[..., at : at + n_out * n_in].reshape(*lead, n_out, n_in), vec[..., at + n_out * n_in : at + n_out * (n_in + 1)])
         for n_out, n_in, at in _layout(arch)[0]
     ]
 
@@ -165,7 +170,9 @@ def _branches(arch: Architecture, layers: list[Layer]):
 class TriBranchNetwork:
     """Every weight and bias lives in one contiguous float64 vector, `flat`;
     the layer attributes are views into it, so an in-place edit of either is
-    seen by both."""
+    seen by both. A stack of M models of one architecture has an (M, P)
+    `flat`, one row per model, and layer views with a leading model axis;
+    forward and backward passes then take (M, rows, d) batches."""
 
     arch: Architecture
     flat: np.ndarray
@@ -180,7 +187,7 @@ class TriBranchNetwork:
     out_layer: Layer = field(init=False)
 
     def __post_init__(self):
-        if self.flat.shape != (parameter_count(self.arch),) or self.flat.dtype != np.float64:
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != parameter_count(self.arch) or self.flat.dtype != np.float64:
             raise DimensionMismatch("parameter vector does not match the architecture")
         self.secret_layers, self.iface, self.public_layers, self.joint_layers, self.out_layer = _branches(
             self.arch, layer_views(self.arch, self.flat)
@@ -189,14 +196,6 @@ class TriBranchNetwork:
     @property
     def k(self) -> int:
         return self.arch.k
-
-    def parameters(self) -> list[np.ndarray]:
-        """Weight/bias views in canonical order, the order they take in `flat`."""
-        return [a for layer in layer_views(self.arch, self.flat) for a in layer]
-
-    def ste_parameter_count(self) -> int:
-        """Number of leading parameters whose gradients pass the STE surrogate."""
-        return 2 * len(self.secret_layers) + (2 if self.iface is not None else 0)
 
 
 def init(arch: Architecture, seed: int) -> TriBranchNetwork:
@@ -209,88 +208,94 @@ def init(arch: Architecture, seed: int) -> TriBranchNetwork:
     return TriBranchNetwork(arch, flat, seed=seed)
 
 
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h @ w.T + b, per model for a stack's (M, rows, d) activations."""
+    return h @ w.swapaxes(-1, -2) + b[..., None, :]
+
+
 def _forward_cache(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> dict:
     cache: dict = {}
-    rows = yn.shape[0] if net.arch.n_public else xn.shape[0]
 
     if net.k > 0:
         h = xn
         sec_in, sec_z = [], []
         for w, b in net.secret_layers:
             sec_in.append(h)
-            z = h @ w.T + b
+            z = _affine(h, w, b)
             sec_z.append(z)
             h = np.maximum(z, 0.0)
-        preact = h @ net.iface[0].T + net.iface[1]
+        preact = _affine(h, *net.iface)
         bits = (preact >= 0).astype(np.float64)
         cache.update(sec_in=sec_in, sec_z=sec_z, sec_out=h, iface_preact=preact)
     else:
-        bits = np.zeros((rows, 0))
+        bits = np.zeros((*(yn if net.arch.n_public else xn).shape[:-1], 0))
 
     h = yn
     pub_in, pub_z = [], []
     for w, b in net.public_layers:
         pub_in.append(h)
-        z = h @ w.T + b
+        z = _affine(h, w, b)
         pub_z.append(z)
         h = np.maximum(z, 0.0)
     cache.update(pub_in=pub_in, pub_z=pub_z, pub_out=h)
 
-    h = np.hstack([bits, h]) if net.k > 0 else h
+    h = np.concatenate([bits, h], axis=-1) if net.k > 0 else h
     joint_in, joint_z = [], []
     for w, b in net.joint_layers:
         joint_in.append(h)
-        z = h @ w.T + b
+        z = _affine(h, w, b)
         joint_z.append(z)
         h = np.maximum(z, 0.0)
-    t_hat = (h @ net.out_layer[0].T + net.out_layer[1])[:, 0]
+    t_hat = _affine(h, *net.out_layer)[..., 0]
     cache.update(joint_in=joint_in, joint_z=joint_z, joint_out=h, bits=bits, t_hat=t_hat)
     return cache
 
 
 def predict_batch(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized predictions and interface bits for batches of normalized inputs."""
-    if xn.shape[1] != net.arch.n_secret or yn.shape[1] != net.arch.n_public:
+    """Normalized predictions and interface bits for batches of normalized
+    inputs; a stack gives every model the same (rows, d) inputs."""
+    if xn.shape[-1] != net.arch.n_secret or yn.shape[-1] != net.arch.n_public:
         raise DimensionMismatch(
             f"expected {net.arch.n_secret} secret / {net.arch.n_public} public features, "
-            f"got {xn.shape[1]} / {yn.shape[1]}"
+            f"got {xn.shape[-1]} / {yn.shape[-1]}"
         )
-    cache = _forward_cache(net, xn, yn)
+    lead = net.out_layer[0].shape[:-2]  # (M,) for a stack
+    cache = _forward_cache(net, np.broadcast_to(xn, (*lead, *xn.shape)), np.broadcast_to(yn, (*lead, *yn.shape)))
     return cache["t_hat"], cache["bits"].astype(np.int64)
 
 
 def _put_gradient(grad: Layer, dz: np.ndarray, h_in: np.ndarray) -> None:
     """Write one layer's weight and bias gradients into their slots."""
-    np.matmul(dz.T, h_in, out=grad[0])
-    dz.sum(axis=0, out=grad[1])
+    np.matmul(dz.swapaxes(-1, -2), h_in, out=grad[0])
+    dz.sum(axis=-2, out=grad[1])
 
 
 def loss_and_gradients(
     net: TriBranchNetwork,
     batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     ste_clip: float = 1.0,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean squared error over a normalized batch plus reverse-mode gradients.
 
-    The gradient is one vector laid out like `net.flat`. At the interface
-    threshold the backward pass uses the straight-through surrogate: the
-    incoming gradient passes unchanged where the pre-activation magnitude is
-    at most `ste_clip` and is zeroed elsewhere.
+    The gradient is laid out like `net.flat`. A stack takes (M, rows, d)
+    batches, one per model, and returns one loss per model. The loss is not
+    checked here: a non-finite loss gives non-finite gradients. At the
+    interface threshold the backward pass uses the straight-through
+    surrogate: the incoming gradient passes unchanged where the
+    pre-activation magnitude is at most `ste_clip` and is zeroed elsewhere.
     """
     xn, yn, tn = batch
-    rows = tn.shape[0]
+    rows = tn.shape[-1]
     if rows == 0:
         raise NetworkError("batch must be non-empty")
     cache = _forward_cache(net, xn, yn)
     resid = cache["t_hat"] - tn
-    loss = float(np.mean(resid**2))
-    if not np.isfinite(loss):
-        raise NonFiniteLoss("loss is not finite")
+    loss = np.mean(resid**2, axis=-1)
 
     # Every slot is written below, so the buffer needs no zeroing.
     grad = np.empty_like(net.flat)
     g_secret, g_iface, g_public, g_joint, g_out = _branches(net.arch, layer_views(net.arch, grad))
-    dz = (2.0 / rows) * resid[:, None]
+    dz = (2.0 / rows) * resid[..., None]
     _put_gradient(g_out, dz, cache["joint_out"])
     dh = dz @ net.out_layer[0]
     for (w, _), g, h_in, z in zip(
@@ -301,7 +306,7 @@ def loss_and_gradients(
         dh = dz @ w
 
     k = net.k
-    dbits, dpub = dh[:, :k], dh[:, k:]
+    dbits, dpub = dh[..., :k], dh[..., k:]
 
     if k > 0:
         preact = cache["iface_preact"]
@@ -339,7 +344,8 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> AdamState:
-    """One bias-corrected Adam update of a parameter vector, in place."""
+    """One bias-corrected Adam update, in place, of a parameter vector or of
+    a stack's matrix (its models always share the step count)."""
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
@@ -361,9 +367,10 @@ def _normalized_arrays(net_norm: Normalizer, ds: TraceDataset) -> tuple[np.ndarr
     return net_norm.map_secrets(ds.x), net_norm.map_publics(ds.y), net_norm.map_time(ds.t)
 
 
-def _sse_arrays(net: TriBranchNetwork, xn, yn, tn) -> float:
+def _sse_arrays(net: TriBranchNetwork, xn, yn, tn):
+    """SSE of one model, or the (M,) SSEs of a stack."""
     t_hat, _ = predict_batch(net, xn, yn)
-    return float(np.sum((t_hat - tn) ** 2))
+    return np.sum((t_hat - tn) ** 2, axis=-1)
 
 
 def train(
@@ -374,65 +381,92 @@ def train(
 ) -> tuple[TriBranchNetwork, list[tuple[float, float]]]:
     """Mini-batch Adam training; early-stops on validation SSE and returns the
     best-validation snapshot plus the per-epoch (train SSE, valid SSE) history."""
+    return train_stack(ds_train, ds_valid, arch, config, [config.seed])[0]
+
+
+def train_stack(
+    ds_train: TraceDataset,
+    ds_valid: TraceDataset,
+    arch: Architecture,
+    config: TrainConfig,
+    seeds: list[int],
+) -> list[tuple[TriBranchNetwork, list[tuple[float, float]]]]:
+    """Train one model per seed in lockstep, as one stacked network, and
+    return `train`'s (model, history) for each seed, in seed order.
+
+    Every model draws its own batch order and early-stops on its own; a
+    stopped model leaves the stack with its best-validation snapshot. The
+    stacked operations act on each model's slice exactly as on one model's
+    arrays, so each result is bit for bit what `train` gives that seed.
+    `config.seed` is not used.
+    """
     if ds_train.schema != ds_valid.schema:
         raise DimensionMismatch("train and validation datasets must share a schema")
     if arch.n_secret != ds_train.schema.n_secret or arch.n_public != ds_train.schema.n_public:
         raise DimensionMismatch("architecture input dims do not match the schema")
+    if not seeds:
+        raise NetworkError("need at least one seed")
 
     norm = fit_normalizer(ds_train)
     xtr, ytr, ttr = _normalized_arrays(norm, ds_train)
     xva, yva, tva = _normalized_arrays(norm, ds_valid)
 
-    net = init(arch, config.seed)
-    net.normalizer = norm
-    net.schema = ds_train.schema
+    nets = [init(arch, seed) for seed in seeds]
+    for net in nets:
+        net.normalizer = norm
+        net.schema = ds_train.schema
+    # The stack keeps its layer views until a model stops and its row goes.
+    stack = TriBranchNetwork(arch, np.stack([net.flat for net in nets]))
     state = AdamState()
 
     n = ds_train.n_rows
-    history: list[tuple[float, float]] = []
-    best_valid = np.inf
-    best_snapshot = net.flat.copy()
-    stall = 0
+    live = np.arange(len(seeds))  # the model behind each stack row
+    histories: list[list[tuple[float, float]]] = [[] for _ in seeds]
+    best_valid = np.full(len(seeds), np.inf)
+    best_snapshot = stack.flat.copy()
+    stall = np.zeros(len(seeds), dtype=np.int64)
+
+    def check_finite(what: str, epoch: int, finite: np.ndarray) -> None:
+        if not finite.all():
+            raise NonFiniteLoss(f"{what} diverged at epoch {epoch}", epoch, seeds[live[np.argmin(finite)]])
 
     for epoch in range(config.max_epochs):
-        order = np.random.default_rng([config.seed, epoch]).permutation(n)
+        order = np.stack([np.random.default_rng([seeds[i], epoch]).permutation(n) for i in live])
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            try:
-                loss, grads = loss_and_gradients(net, (xtr[idx], ytr[idx], ttr[idx]), config.ste_clip)
-            except NonFiniteLoss as exc:
-                raise NonFiniteLoss(f"loss diverged at epoch {epoch}", epoch) from exc
-            adam_step(net.flat, grads, state, config)
+            idx = order[:, start : start + config.batch_size]
+            loss, grads = loss_and_gradients(stack, (xtr[idx], ytr[idx], ttr[idx]), config.ste_clip)
+            check_finite("loss", epoch, np.isfinite(loss))
+            adam_step(stack.flat, grads, state, config)
 
-        train_sse = _sse_arrays(net, xtr, ytr, ttr)
-        valid_sse = _sse_arrays(net, xva, yva, tva)
-        if not (np.isfinite(train_sse) and np.isfinite(valid_sse)):
-            raise NonFiniteLoss(f"SSE diverged at epoch {epoch}", epoch)
-        history.append((train_sse, valid_sse))
+        train_sse = _sse_arrays(stack, xtr, ytr, ttr)
+        valid_sse = _sse_arrays(stack, xva, yva, tva)
+        check_finite("SSE", epoch, np.isfinite(train_sse) & np.isfinite(valid_sse))
+        for i, tr_sse, va_sse in zip(live, train_sse.tolist(), valid_sse.tolist()):
+            histories[i].append((tr_sse, va_sse))
 
-        if valid_sse < best_valid - 1e-12:
-            best_valid = valid_sse
-            best_snapshot = net.flat.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
+        improved = valid_sse < best_valid[live] - 1e-12
+        best_valid[live[improved]] = valid_sse[improved]
+        best_snapshot[live[improved]] = stack.flat[improved]
+        stall[live] = np.where(improved, 0, stall[live] + 1)
+        keep = stall[live] < config.patience
+        if not keep.all():
+            if not keep.any():
                 break
+            live = live[keep]
+            stack = TriBranchNetwork(arch, stack.flat[keep])
+            state.m, state.v = state.m[keep], state.v[keep]
 
-    net.flat[...] = best_snapshot
-    net.metrics = {
-        "epochs": len(history),
-        "train_sse": history[-1][0],
-        "valid_sse": best_valid,
-    }
-    return net, history
+    for net, snapshot, history, valid in zip(nets, best_snapshot, histories, best_valid.tolist()):
+        net.flat[...] = snapshot
+        net.metrics = {"epochs": len(history), "train_sse": history[-1][0], "valid_sse": valid}
+    return list(zip(nets, histories))
 
 
 def sse(net: TriBranchNetwork, ds: TraceDataset) -> float:
     """Sum of squared residuals on the normalized time scale."""
     if ds.n_rows == 0:
         raise NetworkError("dataset is empty")
-    return _sse_arrays(net, *_normalized_arrays(net.normalizer, ds))
+    return float(_sse_arrays(net, *_normalized_arrays(net.normalizer, ds)))
 
 
 def r2(net: TriBranchNetwork, ds: TraceDataset) -> float:

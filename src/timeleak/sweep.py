@@ -13,12 +13,13 @@ from typing import Sequence
 from .dataset import TraceDataset, split
 from .network import (
     Architecture,
+    NonFiniteLoss,
     TrainConfig,
     TriBranchNetwork,
     max_abs_residual,
     r2,
     sse,
-    train,
+    train_stack,
 )
 
 DEFAULT_TAU = 0.05
@@ -161,7 +162,8 @@ def sweep_k(
     test_fraction: float = 0.1,
 ) -> SweepResult:
     """Train `seeds_per_k` models per interface width, keep the best test-SSE
-    model per k, and pick k* by the elbow rule.
+    model per k, and pick k* by the elbow rule. The seeds of one width train
+    in lockstep as one stack (`network.train_stack`).
 
     One shuffle-split is shared by all widths: `test_fraction` held out for
     the records, and the same fraction carved from the remainder as the
@@ -176,14 +178,14 @@ def sweep_k(
 
     records = []
     for k in range(k_max + 1):
-        candidates = []
-        for i in range(seeds_per_k):
-            cfg = replace(config, seed=derive_seed(config.seed, k, i))
-            try:
-                net, _ = train(train_ds, valid_ds, replace(arch_template, k=k), cfg)
-            except Exception as exc:
-                raise SweepError(f"training failed at k={k} (seed {cfg.seed}): {exc}") from exc
-            candidates.append((sse(net, test), i, cfg.seed, net))
+        seeds = [derive_seed(config.seed, k, i) for i in range(seeds_per_k)]
+        try:
+            trained = train_stack(train_ds, valid_ds, replace(arch_template, k=k), config, seeds)
+        except NonFiniteLoss as exc:
+            raise SweepError(f"training failed at k={k} (seed {exc.seed}): {exc}") from exc
+        except Exception as exc:
+            raise SweepError(f"training failed at k={k}: {exc}") from exc
+        candidates = [(sse(net, test), i, seed, net) for i, (seed, (net, _)) in enumerate(zip(seeds, trained))]
         test_sse, _, seed, net = min(candidates, key=lambda c: c[:2])
         records.append(
             KRecord(

@@ -169,14 +169,17 @@ def test_criterion_3_gradient_correctness():
                 continue  # finite differences are invalid across a ReLU kink
             trials += 1
             _, grad = N.loss_and_gradients(net, batch)
-            params = net.parameters()
-            grads = [a for layer in N.layer_views(net.arch, grad) for a in layer]
 
-            def loss_at(p=params, b=batch):
+            def non_ste(vec):
+                # Public, joint and output arrays: no straight-through surrogate.
+                _, _, public, joint, out = N._branches(arch, N.layer_views(arch, vec))
+                return [a for layer in (*public, *joint, out) for a in layer]
+
+            def loss_at(b=batch):
                 t_hat, _ = N.predict_batch(net, b[0], b[1])
                 return float(np.mean((t_hat - b[2]) ** 2))
 
-            for p, g in list(zip(params, grads))[net.ste_parameter_count():]:
+            for p, g in zip(non_ste(net.flat), non_ste(grad)):
                 flat_p, flat_g = p.reshape(-1), g.reshape(-1)
                 for i in range(flat_p.size):
                     orig = flat_p[i]

@@ -154,6 +154,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "train"])
+    def test_non_finite_cell_exits_3(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("s_0,p_0,time\n0,1,1.0\n1,nan,2.0\n")
+        out = ["--out-dir", str(tmp_path / "o")] if command == "sweep" else ["--k", "1", "--out", str(tmp_path / "m.json")]
+        rc = main([command, "--data", str(bad), *out] + QUICK_TRAIN)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite cell at row 3, column 'p_0'") and err.count("\n") == 1
+
     def test_corrupt_model_analyze(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("{broken")

@@ -56,6 +56,22 @@ class TestLoadCsv:
             D.load_csv(f)
         assert info.value.row == 3 and info.value.col == "s_0"
 
+    @pytest.mark.parametrize(
+        "lines, row, col",
+        [
+            (["s_0,p_0,time", "0,1,1.0", "1,nan,2.0"], 3, "p_0"),
+            (["s_0,p_0,time", "0,1,inf", "1,2,2.0"], 2, "time"),
+            (["s_0,p_0,time", "0,1,1.0", "1,2,2.0", "-inf,3,3.0"], 4, "s_0"),
+        ],
+        ids=["nan-public", "inf-time", "neg-inf-secret"],
+    )
+    def test_non_finite_cell(self, tmp_path, lines, row, col):
+        f = tmp_path / "t.csv"
+        write_lines(f, lines)
+        with pytest.raises(D.NonFiniteCell) as info:
+            D.load_csv(f)
+        assert info.value.row == row and info.value.col == col
+
     def test_sidecar_violation(self, tmp_path):
         f = tmp_path / "t.csv"
         write_lines(f, ["s_0,time", "0,1.0", "5,2.0"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,15 @@ def loss_only(net, batch):
 
 
 def split_like(net, vec):
-    """The arrays of a flat-layout vector, in `parameters()` order."""
+    """The arrays of a flat-layout vector, in canonical layer order."""
     return [a for layer in N.layer_views(net.arch, vec) for a in layer]
+
+
+def non_ste_arrays(arch, vec):
+    """The public, joint and output arrays of a flat-layout vector: those whose
+    gradients do not pass the straight-through surrogate."""
+    _, _, public, joint, out = N._branches(arch, N.layer_views(arch, vec))
+    return [a for layer in (*public, *joint, out) for a in layer]
 
 
 def fd_gradient(net, batch, param, i, j=None, h=1e-6):
@@ -46,13 +55,12 @@ class TestInit:
     def test_deterministic(self):
         a = N.init(tiny_arch(), seed=5)
         b = N.init(tiny_arch(), seed=5)
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_seed_changes_weights(self):
         a = N.init(tiny_arch(), seed=5)
         b = N.init(tiny_arch(), seed=6)
-        assert any(not np.array_equal(pa, pb) for pa, pb in zip(a.parameters(), b.parameters()))
+        assert any(not np.array_equal(pa, pb) for pa, pb in zip(split_like(a, a.flat), split_like(b, b.flat)))
 
     def test_k0_has_no_secret_branch(self):
         net = N.init(tiny_arch(k=0), seed=1)
@@ -128,8 +136,7 @@ class TestGradients:
             net = N.init(arch, seed=trial)
             batch = (rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), rng.normal(size=5))
             _, grad = N.loss_and_gradients(net, batch)
-            params = net.parameters()
-            for p, g in list(zip(params, split_like(net, grad)))[net.ste_parameter_count() :]:
+            for p, g in zip(non_ste_arrays(arch, net.flat), non_ste_arrays(arch, grad)):
                 flat_p = p.reshape(-1)
                 flat_g = g.reshape(-1)
                 for idx in range(flat_p.size):
@@ -210,8 +217,7 @@ class TestTrain:
         n1, h1 = N.train(tr, va, arch, quick_config(max_epochs=25, seed=9))
         n2, h2 = N.train(tr, va, arch, quick_config(max_epochs=25, seed=9))
         assert h1 == h2
-        for p1, p2 in zip(n1.parameters(), n2.parameters()):
-            assert np.array_equal(p1, p2)
+        assert np.array_equal(n1.flat, n2.flat)
 
     def test_r2_preset_fit_quality(self):
         ds = D.gen_rn_preset("R_2", rows=400, noise_std=0.02, seed=1)
@@ -429,8 +435,10 @@ class TestFlatParameters:
         for built in (net, N.from_json(N.to_json(net)), N.load(tmp_path / "m.json")):
             assert built.flat.shape == (N.parameter_count(built.arch),)
             assert np.array_equal(built.flat, net.flat)
-            assert all(np.shares_memory(p, built.flat) for p in built.parameters())
-            assert np.array_equal(np.concatenate([p.ravel() for p in built.parameters()]), built.flat)
+            layers = (*built.secret_layers, built.iface, *built.public_layers, *built.joint_layers, built.out_layer)
+            arrays = [a for layer in layers for a in layer]
+            assert all(np.shares_memory(a, built.flat) for a in arrays)
+            assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), built.flat)
 
     def test_in_place_layer_edit_reaches_predictions(self, rng):
         net = N.init(tiny_arch(k=2), seed=4)
@@ -472,15 +480,69 @@ class TestFlatParameters:
             assert all(np.array_equal(g, r) for g, r in zip(split_like(net, grad), ref_grads))
             N.adam_step(net.flat, grad, state, config)
             reference_adam_step(ref.parameters(), ref_grads, moments, t, config)
-            assert all(np.array_equal(p, r) for p, r in zip(net.parameters(), ref.parameters()))
+            assert all(np.array_equal(p, r) for p, r in zip(split_like(net, net.flat), ref.parameters()))
 
     def test_training_matches_per_array_reference(self):
+        # A three-model stack: each model matches the per-array reference
+        # trained alone with its seed.
         ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
         trainval, _ = D.split(ds, 0.1, 0)
         tr, va = D.split(trainval, 0.1, 1)
         arch = N.Architecture(2, 7, 1, (5,), (5,), (10,))
-        config = quick_config(max_epochs=25, seed=9)
-        net, history = N.train(tr, va, arch, config)
-        ref_params, ref_history = reference_train(tr, va, arch, config)
-        assert history == ref_history and len(history) == 25
-        assert all(np.array_equal(p, r) for p, r in zip(net.parameters(), ref_params))
+        config = quick_config(max_epochs=25)
+        seeds = [9, 10, 11]
+        for seed, (net, history) in zip(seeds, N.train_stack(tr, va, arch, config, seeds)):
+            ref_params, ref_history = reference_train(tr, va, arch, replace(config, seed=seed))
+            assert history == ref_history and len(history) == 25
+            assert all(np.array_equal(p, r) for p, r in zip(split_like(net, net.flat), ref_params))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep training: a stack of seeds gives each model the bits it gets alone.
+# ---------------------------------------------------------------------------
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            N.Architecture(2, 7, 0, (5,), (5,), (10,)),
+            N.Architecture(2, 7, 2, (5,), (5,), (10,)),
+            N.Architecture(2, 7, 2, (6, 4), (5,), (10,)),
+        ],
+        ids=["k0", "k2", "two-layer-secret"],
+    )
+    def test_stack_equals_one_at_a_time(self, arch):
+        ds = D.gen_rn_preset("R_2", rows=200, noise_std=0.02, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=5)
+        seeds = [1, 2, 3]
+        stacked = N.train_stack(tr, va, arch, config, seeds)
+        epochs = [len(history) for _, history in stacked]
+        # Members stop at different epochs, so the stack shrinks mid-run.
+        assert len(set(epochs)) > 1 and min(epochs) < config.max_epochs
+        for seed, (net, history) in zip(seeds, stacked):
+            alone, alone_history = N.train(tr, va, arch, replace(config, seed=seed))
+            assert net.seed == seed
+            assert np.array_equal(net.flat, alone.flat)
+            assert history == alone_history
+            assert net.metrics == alone.metrics
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model overflows
+    def test_divergence_names_epoch_and_seed(self, monkeypatch):
+        ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(max_epochs=10)
+        n_batches = -(-tr.n_rows // config.batch_size)
+        real_step = N.adam_step
+
+        def poisoned_step(params, grads, state, cfg):
+            real_step(params, grads, state, cfg)
+            if state.step == 2 * n_batches + 1:  # first step of epoch 2
+                params[1] = np.nan  # the stack's second model
+            return state
+
+        monkeypatch.setattr(N, "adam_step", poisoned_step)
+        with pytest.raises(N.NonFiniteLoss, match="epoch 2") as info:
+            N.train_stack(tr, va, N.Architecture(2, 7, 1, (5,), (5,), (10,)), config, [5, 6, 7])
+        assert info.value.epoch == 2 and info.value.seed == 6

@@ -140,3 +140,22 @@ class TestSweepK:
             S.sweep_k(public_only_ds, arch, k_max=0, config=quick_config())
         with pytest.raises(S.SweepError):
             S.sweep_k(public_only_ds, arch, k_max=1, config=quick_config(), seeds_per_k=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model overflows
+    def test_divergence_names_k_and_seed(self, public_only_ds, monkeypatch):
+        cfg = quick_config(max_epochs=5, seed=3)
+        bad_seed = S.derive_seed(cfg.seed, 1, 2)
+        real_init = N.init
+
+        def init(arch, seed):
+            net = real_init(arch, seed)
+            if seed == bad_seed:
+                net.flat[...] = np.inf  # the last model of the k = 1 stack
+            return net
+
+        monkeypatch.setattr(N, "init", init)
+        arch = N.Architecture(4, 5, 0, (6,), (6,), (12,))
+        with pytest.raises(S.SweepError, match=rf"k=1 \(seed {bad_seed}\)") as info:
+            S.sweep_k(public_only_ds, arch, k_max=2, config=cfg, seeds_per_k=3)
+        cause = info.value.__cause__
+        assert isinstance(cause, N.NonFiniteLoss) and cause.epoch == 0 and cause.seed == bad_seed
