@@ -3,7 +3,8 @@
 Stages communicate through documented CSV/JSON artifacts. Every JSON artifact
 embeds the hash of its producing run manifest; the manifest itself (with
 wall-clock timings) is written next to the primary output. Exit codes: 0
-success, 2 generation, 3 training, 4 analysis, 5 reporting.
+success, 2 generation, 3 training, 4 analysis, 5 reporting; argparse and
+--config usage errors also return 2.
 """
 
 from __future__ import annotations
@@ -419,7 +420,14 @@ def main(argv=None) -> int:
             print("error: --config needs a path", file=sys.stderr)
             return 2
         del argv[idx : idx + 2]
-        overrides = read_json(config_path)
+        try:
+            overrides = read_json(config_path)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read --config {config_path}: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(overrides, dict):
+            print(f"error: --config {config_path} must hold a JSON object", file=sys.stderr)
+            return 2
         for subparser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
             known = {a.dest: a for a in subparser._actions}
             for key, value in overrides.items():

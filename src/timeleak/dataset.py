@@ -8,8 +8,12 @@ counting can enumerate them exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
+import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -212,12 +216,11 @@ def load_csv(path, sidecar=None) -> TraceDataset:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise MissingTimeColumn(f"{path}: empty file") from None
-        rows = list(reader)
+        parsed = _parse_body(fh, len(header))
 
     if not header or header[-1] != "time":
         raise MissingTimeColumn(f"{path}: final column must be 'time'")
@@ -231,22 +234,15 @@ def load_csv(path, sidecar=None) -> TraceDataset:
         else:
             raise DatasetError(f"{path}: column {name!r} lacks an s_/p_ prefix")
 
-    n_rows = len(rows)
-    parsed = np.empty((n_rows, len(header)), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        for c, cell in enumerate(row):
-            try:
-                parsed[r, c] = float(cell)
-            except ValueError:
-                raise NonNumericCell(r + 2, header[c], cell) from None
+    if parsed is None:
+        parsed = _scan_body(path, header)
+    n_rows = parsed.shape[0]
     # Column by column, so the mask stays one column long.
     for c, name in enumerate(header):
         finite = np.isfinite(parsed[:, c])
         if not finite.all():
             r = int(np.argmin(finite))
-            raise NonFiniteCell(r + 2, name, rows[r][c])
+            raise NonFiniteCell(r + 2, name, _cell_text(path, r + 2, c))
 
     x = parsed[:, [i for i, _ in secret_cols]]
     y = parsed[:, [i for i, _ in public_cols]]
@@ -283,14 +279,83 @@ def load_csv(path, sidecar=None) -> TraceDataset:
     return TraceDataset(schema, x, y, t)
 
 
+def _parse_body(fh, width: int) -> np.ndarray | None:
+    """The rest of `fh` as a float64 table, parsed in one vectorised pass.
+
+    Returns None when that pass cannot take the file, and `_scan_body` must
+    read it: a bad cell, a row of the wrong width, or a blank line, which
+    `np.loadtxt` skips but which is an error here, so the table must have one
+    row per line read. A file with no data lines gives a 0-row table.
+    """
+    seen = itertools.count()
+    lines = map(operator.itemgetter(0), zip(fh, seen))  # `seen` advances once per line
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            return None
+    n_lines = next(seen)
+    if n_lines == 0:
+        return np.empty((0, width))
+    return table if table.shape == (n_lines, width) else None
+
+
+def _scan_body(path: Path, header: list[str]) -> np.ndarray:
+    """Row-wise parse with `csv` and `float()`, the path for files `_parse_body`
+    cannot take. It names the first row of the wrong width or non-numeric
+    cell, and it takes the cells `float()` accepts and `np.loadtxt` does not:
+    quoted numbers and underscores (`1_0`)."""
+    width = len(header)
+    values = array("d")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for r, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DatasetError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+            for c, cell in enumerate(row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise NonNumericCell(r, header[c], cell) from None
+    return np.array(values, dtype=np.float64).reshape(-1, width)
+
+
+def _cell_text(path: Path, row: int, col: int) -> str:
+    """The text of one cell, with rows numbered as in the error messages (the header is row 1)."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        return next(itertools.islice(csv.reader(fh), row - 1, None))[col]
+
+
+# Rows formatted per write in write_csv: enough to amortize the per-column
+# calls, few enough that the cell strings of one block stay small.
+WRITE_BLOCK = 4096
+
+
 def _fmt_cell(v: float) -> str:
     if v == math.floor(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(float(v))
 
 
+def _fmt_column(col: np.ndarray) -> list[str]:
+    """`_fmt_cell` of every value in a column of finite values."""
+    whole = (col == np.floor(col)) & (np.abs(col) < 1e15)
+    if not whole.all():
+        return [_fmt_cell(v) for v in col.tolist()]
+    # Each distinct value is formatted once: a binary column takes two str() calls.
+    values, index = np.unique(col.astype(np.int64), return_inverse=True)
+    return np.array(list(map(str, values.tolist())), dtype=object)[index].tolist()
+
+
 def write_csv(ds: TraceDataset, path) -> None:
-    """Write a dataset back out in the trace CSV format (prefixing names as needed)."""
+    """Write a dataset back out in the trace CSV format (prefixing names as needed).
+
+    Integral values below 1e15 in magnitude print as integers, all others as
+    their shortest round-tripping repr (`_fmt_cell`). Rows end in CRLF, as
+    `csv.writer` ends the header.
+    """
     header = []
     for name, _ in ds.schema.secret_features:
         header.append(name if name.startswith("s_") else f"s_{name}")
@@ -298,13 +363,16 @@ def write_csv(ds: TraceDataset, path) -> None:
         header.append(name if name.startswith("p_") else f"p_{name}")
     header.append("time")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(ds.n_rows):
-            row = [_fmt_cell(v) for v in ds.x[r]]
-            row += [_fmt_cell(v) for v in ds.y[r]]
-            row.append(_fmt_cell(ds.t[r]))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for start in range(0, ds.n_rows, WRITE_BLOCK):
+            rows = slice(start, start + WRITE_BLOCK)
+            columns = [*ds.x[rows].T, *ds.y[rows].T, ds.t[rows]]
+            finite = np.isfinite(np.column_stack(columns))
+            if not finite.all():
+                # The first NaN or infinity in row order raises, as in `_fmt_cell`.
+                r, c = np.unravel_index(np.argmin(finite), finite.shape)
+                _fmt_cell(float(columns[c][r]))
+            fh.write("\r\n".join(map(",".join, zip(*map(_fmt_column, columns)))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -567,23 +635,9 @@ def gen_rn_preset(name: str, rows: int, noise_std: float = 0.02, seed: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-def bl_behavior_time(behavior: int, n_public: float) -> float:
-    """Cost of one behavior: the complexity shape is behavior % 4 out of
-    {log N, N, N log N, N^2} and the constant factor is behavior // 4 + 1."""
-    factor = behavior // 4 + 1
-    shape = behavior % 4
-    if shape == 0:
-        base = math.log2(n_public)
-    elif shape == 1:
-        base = float(n_public)
-    elif shape == 2:
-        base = n_public * math.log2(n_public)
-    else:
-        base = float(n_public) ** 2
-    return factor * base
-
-
 def _bl_times(behaviors: np.ndarray, n_public: np.ndarray) -> np.ndarray:
+    """Cost of each behavior: the complexity shape is behavior % 4 out of
+    {log N, N, N log N, N^2} and the constant factor is behavior // 4 + 1."""
     factor = behaviors // 4 + 1
     shape = behaviors % 4
     logn = np.log2(n_public)

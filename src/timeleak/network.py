@@ -553,10 +553,15 @@ def from_json(obj: dict) -> TriBranchNetwork:
             raise ModelFormatError("weights do not match the architecture")
         vw[...] = lw
         vb[...] = lb
+    if not np.isfinite(flat).all():
+        raise ModelFormatError("model weights are not all finite")
+    normalizer = normalizer_from_json(obj["normalizer"]) if obj.get("normalizer") else None
+    if normalizer is not None and not all(np.isfinite(v).all() for v in vars(normalizer).values()):
+        raise ModelFormatError("model normalizer values are not all finite")
     return TriBranchNetwork(
         arch,
         flat,
-        normalizer=normalizer_from_json(obj["normalizer"]) if obj.get("normalizer") else None,
+        normalizer=normalizer,
         schema=schema_from_json(obj["schema"]) if obj.get("schema") else None,
         seed=int(obj.get("seed", 0)),
         metrics=obj.get("metrics"),

@@ -170,6 +170,18 @@ class TestErrorPaths:
         rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "c.json")])
         assert rc == 4
 
+    def test_non_finite_model_weights_analyze(self, artifacts, tmp_path, capsys):
+        _, sweep_dir, _, _ = artifacts
+        model = json.loads((sweep_dir / "models/k1.json").read_text())
+        model["weights"]["iface"]["w"][0][0] = float("nan")
+        bad = tmp_path / "nan_model.json"
+        bad.write_text(json.dumps(model))  # json writes NaN as a bare token, which it also reads back
+        rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "c.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == "error: model weights are not all finite\n"
+        assert not (tmp_path / "c.json").exists()
+
     def test_missing_census_report(self, tmp_path):
         rc = main(
             ["report", "--census", str(tmp_path / "no.json"), "--sweep", str(tmp_path / "no2.json"), "--out", str(tmp_path / "r.json")]
@@ -210,6 +222,19 @@ class TestConfigFile:
         )
         assert rc == 0
         assert D.load_csv(out_b).n_rows == 60
+
+
+    @pytest.mark.parametrize("text", [None, "{broken", "[1, 2]"], ids=["missing", "malformed", "list"])
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "a.csv"
+        rc = main(["gen", "--config", str(cfg), "--family", "rn", "--preset", "R_2", "--rows", "10", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTauMonotonicity:

@@ -17,6 +17,44 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Reader corpus. The expected outcomes are what a row-wise `csv.reader` +
+# `float()` parse gives: a file with a blank line is rejected, quoted cells and
+# underscore numerals load, and errors name the row (the header is row 1).
+CSV_HEADER = "s_0,p_0,time"
+TWO_ROWS = ([[0.0], [1.0]], [[1.0], [2.0]], [2.5, 3.5])
+
+LOADING_FILES = [
+    pytest.param('0,"1",2.5\n1,2,3.5\n', TWO_ROWS, id="quoted-cell"),
+    pytest.param("0, 1 ,2.5\n1,\t2,3.5 \n", TWO_ROWS, id="whitespace-around-number"),
+    pytest.param("0,1_0,2.5\n", ([[0.0]], [[10.0]], [2.5]), id="underscore-numeral"),
+    pytest.param("0,1,2.5\r\n1,2,3.5\r\n", TWO_ROWS, id="crlf-endings"),
+    pytest.param("0,1,2.5\r1,2,3.5\r", TWO_ROWS, id="cr-endings"),
+    pytest.param("0,1,2.5\n1,2,3.5", TWO_ROWS, id="no-final-newline"),
+]
+
+WIDTH_ERRORS = [
+    pytest.param("0,1,2.5\n\n1,2,3.5\n", "row 3 has 0 cells, expected 3", id="blank-line-mid-file"),
+    pytest.param("0,1,2.5\n1,2,3.5\n\n", "row 4 has 0 cells, expected 3", id="trailing-blank-line"),
+    pytest.param("0,1,2.5,\n", "row 2 has 4 cells, expected 3", id="trailing-comma"),
+    pytest.param("0,1,2.5\n1,2\n", "row 3 has 2 cells, expected 3", id="short-row"),
+    pytest.param("0,1,2.5\n1,2,3.5,4\n", "row 3 has 4 cells, expected 3", id="long-row"),
+]
+
+CELL_ERRORS = [
+    pytest.param("0,1,2.5\n1,#2,3.5\n", D.NonNumericCell, 3, "p_0", "#2", id="hash-in-cell"),
+    pytest.param("0,,2.5\n", D.NonNumericCell, 2, "p_0", "", id="empty-cell"),
+    pytest.param('0,"1,5",2.5\n', D.NonNumericCell, 2, "p_0", "1,5", id="quoted-comma"),
+    pytest.param("0,1,2.5\n1,nan,3.5\n", D.NonFiniteCell, 3, "p_0", "nan", id="nan"),
+    pytest.param("0,1,2.5\n-inf,2,3.5\n", D.NonFiniteCell, 3, "s_0", "-inf", id="neg-inf"),
+    # Every cell parses before any is checked for finiteness.
+    pytest.param("0,nan,2.5\n1,x,3.5\n", D.NonNumericCell, 3, "p_0", "x", id="bad-cell-after-nan"),
+]
+
+
+def write_exact(path, text):
+    path.write_bytes(text.encode("utf-8"))
+
+
 class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -98,6 +136,84 @@ class TestLoadCsv:
         D.write_csv(ds, f1)
         D.write_csv(D.load_csv(f1), f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_round_trip_int_range_binary_public(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 1000
+        goal = rng.integers(-50, 51, size=n)
+        goal[:2] = [-50, 50]  # inference recovers the full range
+        bits = rng.integers(0, 2, size=(n, 2))
+        bits[:2] = [[0, 0], [1, 1]]
+        schema = D.FeatureSchema(
+            (("s_goal", D.IntRange(-50, 50)), ("s_b0", D.Binary()), ("s_b1", D.Binary())), ("p_n", "p_w")
+        )
+        y = np.column_stack([rng.integers(1, 10**6, size=n), 1e3 * rng.standard_normal(n)])
+        ds = D.TraceDataset(schema, np.column_stack([goal, bits]), y, rng.exponential(size=n))
+        monkeypatch.setattr(D, "WRITE_BLOCK", 64)  # 15 full blocks and one of 40 rows
+        f = tmp_path / "t.csv"
+        D.write_csv(ds, f)
+        assert D.load_csv(f) == ds
+
+    def test_write_matches_fmt_cell(self, tmp_path, monkeypatch):
+        mixed = [0.0, -0.0, 1e15 - 1, 1e15, 1e16, -3.0, 0.1, 1e-5, 2.5e-300, -(2.0**49)]
+        schema = D.FeatureSchema((("s_g", D.IntRange(-4, 5)),), ("p_mix", "p_n"))
+        x = np.arange(-4.0, 6.0)[:, None]
+        y = np.column_stack([mixed, 7.0 * np.arange(10)])
+        ds = D.TraceDataset(schema, x, y, np.abs(mixed))
+        monkeypatch.setattr(D, "WRITE_BLOCK", 4)  # blocks of 4, 4 and 2 rows
+        f = tmp_path / "t.csv"
+        D.write_csv(ds, f)
+        expected = "s_g,p_mix,p_n,time\r\n" + "".join(
+            ",".join(D._fmt_cell(v) for v in (*ds.x[r], *ds.y[r], ds.t[r])) + "\r\n" for r in range(ds.n_rows)
+        )
+        assert f.read_bytes() == expected.encode("utf-8")
+        assert [line.split(",")[1] for line in f.read_text().splitlines()[1:]] == [
+            "0", "0", "999999999999999", "1000000000000000.0", "1e+16",
+            "-3", "0.1", "1e-05", "2.5e-300", "-562949953421312",
+        ]
+
+    @pytest.mark.parametrize("body, arrays", LOADING_FILES)
+    def test_corpus_loads(self, tmp_path, body, arrays):
+        f = tmp_path / "t.csv"
+        write_exact(f, CSV_HEADER + "\n" + body)
+        ds = D.load_csv(f)
+        assert (ds.x.tolist(), ds.y.tolist(), ds.t.tolist()) == arrays
+        assert ds.schema == D.FeatureSchema((("s_0", D.Binary()),), ("p_0",))
+
+    def test_corpus_header_only(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_exact(f, CSV_HEADER + "\n")
+        ds = D.load_csv(f)
+        assert (ds.x.shape, ds.y.shape, ds.t.shape) == ((0, 1), (0, 1), (0,))
+        assert ds.schema == D.FeatureSchema((("s_0", D.IntRange(0, 1)),), ("p_0",))
+
+    @pytest.mark.parametrize("body, message", WIDTH_ERRORS)
+    def test_corpus_width_errors(self, tmp_path, body, message):
+        f = tmp_path / "t.csv"
+        write_exact(f, CSV_HEADER + "\n" + body)
+        with pytest.raises(D.DatasetError) as info:
+            D.load_csv(f)
+        assert type(info.value) is D.DatasetError
+        assert str(info.value) == f"{f}: {message}"
+
+    @pytest.mark.parametrize("body, error, row, col, text", CELL_ERRORS)
+    def test_corpus_cell_errors(self, tmp_path, body, error, row, col, text):
+        f = tmp_path / "t.csv"
+        write_exact(f, CSV_HEADER + "\n" + body)
+        with pytest.raises(error) as info:
+            D.load_csv(f)
+        assert type(info.value) is error
+        assert (info.value.row, info.value.col) == (row, col)
+        assert str(info.value).endswith(f"row {row}, column {col!r}: {text!r}")
+
+    def test_bad_cell_deep_in_a_large_file(self, tmp_path):
+        lines = [f"{i % 2},{i},1.5" for i in range(150_000)]
+        lines[120_000] = "1,x,1.5"  # row 120_002: the header is row 1
+        f = tmp_path / "t.csv"
+        write_lines(f, [CSV_HEADER] + lines)
+        with pytest.raises(D.NonNumericCell) as info:
+            D.load_csv(f)
+        assert (info.value.row, info.value.col) == (120_002, "p_0")
 
 
 class TestSchema:
@@ -232,12 +348,12 @@ class TestGenRn:
 
 class TestGenBl:
     def test_quadratic_behavior_cost(self):
-        assert D.bl_behavior_time(3, 100) == 10_000.0
+        assert D._bl_times(np.array([3]), np.array([100.0])).tolist() == [10_000.0]
 
     def test_variant_coefficients(self):
-        assert D.bl_behavior_time(0, 64) == 6.0  # log2
-        assert D.bl_behavior_time(4, 64) == 12.0  # second log variant doubles the factor
-        assert D.bl_behavior_time(5, 10) == 20.0  # second linear variant
+        times = D._bl_times(np.array([0, 4, 5]), np.array([64.0, 64.0, 10.0]))
+        # log2; the second log variant doubles the factor; the second linear variant
+        assert times.tolist() == [6.0, 12.0, 20.0]
 
     def test_ground_truth_mod_tally(self):
         sizes = D.bl_ground_truth(5, 13)
@@ -249,10 +365,9 @@ class TestGenBl:
 
     def test_generated_times_match_behavior_formula(self):
         ds = D.gen_bl(2, 10, D.IntRange(2, 64), rows=50, noise_std=0.0, seed=3)
-        for r in range(ds.n_rows):
-            s = int(ds.x[r] @ (2 ** np.arange(10)))
-            expected = D.bl_behavior_time(s % 8, ds.y[r, 0])
-            assert ds.t[r] == pytest.approx(expected, rel=1e-12)
+        secrets = (ds.x @ (2 ** np.arange(10))).astype(np.int64)
+        expected = D._bl_times(secrets % 8, ds.y[:, 0])
+        assert ds.t == pytest.approx(expected, rel=1e-12)
 
     def test_too_few_secret_bits(self):
         with pytest.raises(D.TooFewSecretBits):

@@ -7,7 +7,7 @@ from timeleak import counter as C
 from timeleak import dataset as D
 from timeleak import network as N
 
-from conftest import quick_config, random_reducer_net
+from conftest import identity_normalizer, quick_config, random_reducer_net
 
 
 def tiny_arch(k=1, n_secret=2, n_public=3):
@@ -463,6 +463,16 @@ class TestFlatParameters:
         obj = N.to_json(N.init(tiny_arch(), seed=0))
         obj["weights"]["out"]["w"] = [[1.0, 2.0]]
         with pytest.raises(N.ModelFormatError):
+            N.from_json(obj)
+
+    def test_from_json_rejects_non_finite_values(self):
+        obj = N.to_json(N.init(tiny_arch(), seed=0))
+        obj["weights"]["iface"]["w"][0][0] = float("nan")
+        with pytest.raises(N.ModelFormatError, match="weights are not all finite"):
+            N.from_json(obj)
+        obj = N.to_json(N.init(tiny_arch(), seed=0))
+        obj["normalizer"] = D.normalizer_to_json(replace(identity_normalizer(2, 3), time_shift=float("inf")))
+        with pytest.raises(N.ModelFormatError, match="normalizer values are not all finite"):
             N.from_json(obj)
 
     def test_steps_match_per_array_reference(self, rng):
