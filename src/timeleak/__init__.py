@@ -4,7 +4,7 @@ and count secrets per observational class to quantify the leak in bits."""
 __version__ = "0.1.0"
 
 from . import counter, dataset, network, quantifier, sweep
-from .counter import ClassCensus, ReducerNet, SecretDomain, bnb_census, brute_force_census, extract_reducer, feasible_classes
+from .counter import ClassCensus, ReducerNet, SecretDomain, bnb_census, brute_force_census, extract_reducer
 from .dataset import Binary, FeatureSchema, IntRange, Normalizer, TraceDataset, load_csv, split, write_csv
 from .network import Architecture, TrainConfig, TriBranchNetwork, train
 from .quantifier import LeakReport, build_report, initial_entropy, remaining_entropy, shannon_leak
@@ -33,7 +33,6 @@ __all__ = [
     "dataset",
     "detect",
     "extract_reducer",
-    "feasible_classes",
     "initial_entropy",
     "load_csv",
     "network",

@@ -297,9 +297,10 @@ def cmd_analyze(args) -> int:
 
     _write_artifact(out, census.to_json(), manifest)
     manifest.write(Path(str(out) + ".manifest.json"))
+    outcomes = ", ".join(f"{name}={n}" for name, n in census.node_outcomes._asdict().items())
     print(
         f"census: k={census.k}, feasible classes={census.feasible_count}, "
-        f"counted={census.total_counted}, complete={census.complete}, nodes={census.nodes}"
+        f"counted={census.total_counted}, complete={census.complete}, nodes={census.nodes} ({outcomes})"
     )
     return 0
 
@@ -312,16 +313,9 @@ def cmd_report(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
 
     census = counter.ClassCensus.from_json(read_json(args.census))
-    sweep_obj = read_json(args.sweep)
-    summary = {
-        "k_star": sweep_obj.get("k_star"),
-        "tau": sweep_obj.get("tau"),
-        "verdict": sweep_obj.get("verdict"),
-    }
-    model_ref = None
-    for rec in sweep_obj.get("records", []):
-        if rec.get("k") == census.k:
-            model_ref = rec.get("model_path")
+    result = sweep_mod.SweepResult.from_json(read_json(args.sweep))
+    summary = {"k_star": result.k_star, "tau": result.tau, "verdict": result.verdict.label}
+    model_ref = result.record(census.k).model_path if census.k < len(result.records) else None
     report = quantifier.build_report(census, sweep_summary=summary, model_ref=model_ref)
     manifest.stage_done("quantify")
 
@@ -440,7 +434,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:
         code = _EXIT_CODES.get(args.command, 1)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

@@ -3,15 +3,17 @@
 The secret branch of a trained model, composed with the recorded secret
 feature maps, is a total function from the raw secret domain to k bits. This
 module extracts it and tallies, for every valuation, how many domain elements
-map there: by exhaustive evaluation (the oracle) or by depth-first
-branch-and-bound with interval bound propagation (the scalable path). Both
-share cap semantics: a class's count freezes at the cap once reached.
+map there: by exhaustive evaluation (the oracle) or by branch-and-bound with
+interval bound propagation (the scalable path), which works on a block of
+boxes per numpy call. Both share cap semantics and one enumeration kernel: a
+class's count freezes at the cap once reached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +31,17 @@ DECISION_MARGIN = 1e-9
 # Boxes at most this large are enumerated exactly instead of split further.
 LEAF_ENUM_LIMIT = 256
 
-# Points evaluated per batch when a box is enumerated.
-ENUM_BLOCK = 65536
+# Points evaluated per `ReducerNet.valuations` call when boxes are enumerated.
+ENUM_BLOCK = 1024
+
+# Boxes the branch-and-bound takes off its stack and bounds together.
+FRONTIER_BLOCK = 256
+
+# Cells (boxes x valuations) of the cap-prune mask built at a time.
+PRUNE_MASK_CELLS = 2**18
+
+# Class counts are summed in float64, exact below this.
+EXACT_COUNT_LIMIT = 2**53
 
 
 class CounterError(Exception):
@@ -151,6 +162,15 @@ def extract_reducer(net: TriBranchNetwork, self_check_points: int = 1000) -> Red
 # ---------------------------------------------------------------------------
 
 
+class NodeOutcomes(NamedTuple):
+    """How a branch-and-bound census spent its nodes; the four sum to `nodes`."""
+
+    decided: int  # every interface bit fixed by the bounds, counted in closed form
+    pruned: int  # every class the box could reach is already capped
+    enumerated: int  # small enough to list its points
+    split: int  # cut in two along one feature
+
+
 @dataclass(frozen=True)
 class ClassCensus:
     """Per-valuation feasibility and capped count over the full secret domain."""
@@ -162,6 +182,7 @@ class ClassCensus:
     complete: bool = True
     nodes: int = field(default=0, compare=False)
     true_counts: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    node_outcomes: NodeOutcomes | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.counts) != 2**self.k or len(self.cap_hits) != 2**self.k:
@@ -184,38 +205,59 @@ class ClassCensus:
         return sum(self.counts)
 
     def to_json(self) -> dict:
-        return {
+        obj = {
             "format": "timeleak-census",
             "version": 1,
             "k": self.k,
             "cap": self.cap,
             "complete": self.complete,
             "nodes": self.nodes,
-            "classes": [
-                {"valuation": valuation_label(v, self.k), "status": self.status(v), "count": self.counts[v]}
-                for v in range(2**self.k)
-            ],
         }
+        if self.node_outcomes is not None:
+            obj["node_outcomes"] = self.node_outcomes._asdict()
+        obj["classes"] = [
+            {"valuation": valuation_label(v, self.k), "status": self.status(v), "count": self.counts[v]}
+            for v in range(2**self.k)
+        ]
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClassCensus":
-        if obj.get("format") != "timeleak-census" or obj.get("version") != 1:
+        if not isinstance(obj, dict) or obj.get("format") != "timeleak-census" or obj.get("version") != 1:
             raise CounterError("not a census file (or unsupported version)")
-        k = int(obj["k"])
-        counts = [0] * 2**k
-        hits = [False] * 2**k
-        for entry in obj["classes"]:
-            v = int(entry["valuation"], 2)
-            counts[v] = int(entry["count"])
-            hits[v] = entry["status"] == "cap_hit"
-        return cls(
-            k=k,
-            cap=obj.get("cap"),
-            counts=tuple(counts),
-            cap_hits=tuple(hits),
-            complete=bool(obj.get("complete", True)),
-            nodes=int(obj.get("nodes", 0)),
-        )
+        k, cap, classes = obj.get("k"), obj.get("cap"), obj.get("classes")
+        if type(k) is not int or k < 0:
+            raise CounterError(f"census k must be a non-negative integer, got {k!r}")
+        if cap is not None and (type(cap) is not int or cap < 1):
+            raise CounterError(f"census cap must be a positive integer or null, got {cap!r}")
+        # Checked before anything of size 2^k is built: n must be exactly 2^k.
+        n = len(classes) if isinstance(classes, list) else -1
+        if n < 1 or n & (n - 1) or n.bit_length() != k + 1:
+            raise CounterError(f"census with k={k} must list 2^{k} classes, found {max(n, 0)}")
+        try:
+            for v, entry in enumerate(classes):
+                if entry["valuation"] != valuation_label(v, k):
+                    raise ValueError(f"class {v} has valuation {entry['valuation']!r}")
+            counts = [int(entry["count"]) for entry in classes]
+            if any(c < 0 or (cap is not None and c > cap) for c in counts):
+                raise ValueError("a class count is negative or above the cap")
+            hits = [entry["status"] == "cap_hit" for entry in classes]
+            outcomes = obj.get("node_outcomes")
+            census = cls(
+                k=k,
+                cap=cap,
+                counts=tuple(counts),
+                cap_hits=tuple(hits),
+                complete=bool(obj.get("complete", True)),
+                nodes=int(obj.get("nodes", 0)),
+                node_outcomes=None if outcomes is None else NodeOutcomes(*map(int, NodeOutcomes(**outcomes))),
+            )
+            for v, entry in enumerate(classes):
+                if entry["status"] != census.status(v):
+                    raise ValueError(f"class {v} has status {entry['status']!r} with count {counts[v]}")
+            return census
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CounterError(f"malformed census file: {exc!r}") from None
 
 
 def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> ClassCensus:
@@ -238,21 +280,46 @@ def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> Cl
     return ClassCensus(k=k, cap=cap, counts=tuple(counts), cap_hits=tuple(hits), true_counts=tuple(sizes) + (0,) * (2**k - len(sizes)))
 
 
-def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK) -> np.ndarray:
-    """Count per valuation over every integer point of the box [los, his].
+def _offsets(shape: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Offsets of the points with these mixed-radix indices in a box of this
+    shape, last feature fastest, as an (len(index), d) matrix."""
+    return np.stack(np.unravel_index(index, tuple(shape.tolist())), axis=-1)
 
-    Points are listed in lexicographic order (last feature fastest) by
-    decoding their mixed-radix index, and evaluated `block` at a time.
+
+def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK) -> np.ndarray:
+    """Count per valuation over every integer point of the boxes [los[i], his[i]].
+
+    `los` and `his` are (N, d) matrices, or one box as two vectors. Boxes of
+    one shape share one grid of point offsets (`lo[:, None, :] + grid`). The
+    grid spans the trailing features of the shape, at most `block` points of
+    them; the leading features, if any are left, are listed by index as rows
+    of the grid. At most `block` points go to each `ReducerNet.valuations`
+    call.
     """
-    lo = np.asarray(los, dtype=np.int64)
-    sizes = np.asarray(his, dtype=np.int64) - lo + 1
-    strides = np.cumprod(np.append(1, sizes[:0:-1]))[::-1]
+    los = np.atleast_2d(np.asarray(los, dtype=np.int64))
+    sizes = np.atleast_2d(np.asarray(his, dtype=np.int64)) - los + 1
+    d = los.shape[1]
     tally = np.zeros(2**reducer.k, dtype=np.int64)
-    total = math.prod(sizes.tolist())
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)[:, None]
-        points = (lo + idx // strides % sizes).astype(np.float64)
-        tally += np.bincount(reducer.valuations(points), minlength=tally.size)
+    shapes, group = np.unique(sizes, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for s, shape in enumerate(shapes):
+        box_lo = los[group == s].astype(np.float64)
+        # The grid takes the longest run of trailing features with <= block points.
+        n_grid = int(np.searchsorted(np.cumprod(shape[::-1]), block, side="right"))
+        grid_shape, row_shape = shape.copy(), shape.copy()
+        grid_shape[: d - n_grid] = 1
+        row_shape[d - n_grid :] = 1
+        grid = _offsets(grid_shape, np.arange(math.prod(grid_shape.tolist())))
+        rows_per_box = math.prod(row_shape.tolist())
+        n_rows = len(box_lo) * rows_per_box
+        step = max(1, block // len(grid))
+        for start in range(0, n_rows, step):
+            r = np.arange(start, min(start + step, n_rows))
+            row_lo = box_lo[r // rows_per_box]
+            if rows_per_box > 1:
+                row_lo += _offsets(row_shape, r % rows_per_box)
+            points = (row_lo[:, None, :] + grid).reshape(-1, d)
+            tally += np.bincount(reducer.valuations(points), minlength=tally.size)
     return tally
 
 
@@ -310,6 +377,34 @@ def propagate_bounds(reducer: ReducerNet, box) -> tuple[np.ndarray, np.ndarray]:
     return _propagate(_split_weights(reducer), reducer.input_shift, reducer.input_denom, lo, hi)
 
 
+def _all_capped(capped: np.ndarray, base: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """For each box, whether every valuation that agrees with its decided bits
+    (`fixed` marks them, `base` holds their values) is capped. The mask over
+    boxes x uncapped valuations is built `PRUNE_MASK_CELLS` cells at a time."""
+    open_vals = np.nonzero(~capped)[0]
+    rows = max(1, PRUNE_MASK_CELLS // max(1, open_vals.size))
+    out = np.empty(base.size, dtype=bool)
+    for start in range(0, base.size, rows):
+        part = slice(start, start + rows)
+        out[part] = ~((open_vals & fixed[part, None]) == base[part, None]).any(axis=1)
+    return out
+
+
+def _children(los: np.ndarray, his: np.ndarray, binary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split every box in two: on its first unfixed binary feature, else at the
+    midpoint of its widest feature. Siblings are adjacent, left first."""
+    widths = his - los
+    open_bits = binary & (widths > 0)
+    axis = np.where(open_bits.any(axis=1), open_bits.argmax(axis=1), widths.argmax(axis=1))
+    rows = np.arange(len(los))
+    mid = los[rows, axis] + widths[rows, axis] // 2
+    left_his, right_los = his.copy(), los.copy()
+    left_his[rows, axis] = mid
+    right_los[rows, axis] = mid + 1
+    d = los.shape[1]
+    return np.stack([los, right_los], axis=1).reshape(-1, d), np.stack([left_his, his], axis=1).reshape(-1, d)
+
+
 def bnb_census(
     reducer: ReducerNet,
     dom: SecretDomain,
@@ -319,103 +414,82 @@ def bnb_census(
 ) -> ClassCensus:
     """Branch-and-bound census, exact wherever brute force is applicable.
 
-    Depth-first search over sub-boxes of the domain: binary features branch
-    before integer features, integer features bisect their widest interval.
-    Interval bounds fix interface bits over a box; fully determined boxes are
-    counted in closed form, boxes that can only feed already-capped classes
-    are pruned, and small boxes are enumerated exactly. Budget exhaustion
-    returns a partial census marked incomplete.
+    Search over sub-boxes of the domain, depth-first at the granularity of
+    blocks of up to `FRONTIER_BLOCK` boxes, each block bounded by one interval
+    propagation. Interval bounds fix interface bits over a box; fully
+    determined boxes are counted in closed form, boxes that can only feed
+    already-capped classes are pruned, small boxes are enumerated exactly,
+    and the rest split: binary features before integer features, integer
+    features bisecting their widest interval. Every box taken is one node.
+    Budget exhaustion returns a partial census marked incomplete.
     """
     if cap < 1:
         raise CounterError("cap must be >= 1")
     if dom.n_features != reducer.n_features:
         raise CounterError("domain does not match reducer input width")
+    # No count exceeds the domain size, so counts saturate at the cap or just
+    # above the domain size, whichever is lower.
+    saturation = min(cap, dom.size + 1)
+    if saturation > EXACT_COUNT_LIMIT:
+        raise CounterError("cap and domain size both exceed 2^53: counts would not be exact")
     k = reducer.k
     n_vals = 2**k
-    counts: list[int] = [0] * n_vals
+    counts = np.zeros(n_vals)
     capped = np.zeros(n_vals, dtype=bool)
-    all_vals = np.arange(n_vals)
     pow2 = 1 << np.arange(k - 1, -1, -1)
     split = _split_weights(reducer)
     shift, denom = reducer.input_shift, reducer.input_denom
-    binary_mask = np.asarray([isinstance(d, Binary) for d in reducer.domains])
+    binary = np.asarray([isinstance(d, Binary) for d in reducer.domains])
+    outcomes = np.zeros(4, dtype=np.int64)
 
-    def add(v: int, amount: int) -> None:
-        if capped[v]:
-            return
-        counts[v] += amount
-        if counts[v] >= cap:
-            counts[v] = cap
-            capped[v] = True
+    def add(amounts: np.ndarray) -> None:
+        # Float sizes and sums are exact below 2^53, and one that passes 2^53
+        # rounds to at least 2^53, which is at or above the saturation: the
+        # clipped counts are exact.
+        np.minimum(counts + amounts, saturation, out=counts)
+        capped[:] = counts >= cap
 
-    stack: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.asarray(dom.los, dtype=np.int64), np.asarray(dom.his, dtype=np.int64))
-    ]
+    stack = [(np.asarray([dom.los], dtype=np.int64), np.asarray([dom.his], dtype=np.int64))]
     nodes = 0
     complete = True
     while stack:
         if nodes >= budget:
             complete = False
             break
-        nodes += 1
         los, his = stack.pop()
+        take = min(FRONTIER_BLOCK, budget - nodes)
+        if len(los) > take:
+            stack.append((los[take:], his[take:]))
+            los, his = los[:take], his[:take]
+        nodes += len(los)
 
         lb, ub = _propagate(split, shift, denom, los.astype(np.float64), his.astype(np.float64))
         det_one = lb >= DECISION_MARGIN
-        det_zero = ub < -DECISION_MARGIN
-        free = ~(det_one | det_zero)
+        free = ~(det_one | (ub < -DECISION_MARGIN))
+        base = det_one @ pow2
+        with np.errstate(over="ignore"):
+            sizes = np.prod(his - los + 1, axis=1, dtype=np.float64)
 
-        size = 1
-        for lo, hi in zip(los.tolist(), his.tolist()):
-            size *= hi - lo + 1
-
-        base = int(det_one @ pow2)
-        if not free.any():
-            add(base, size)
-            continue
-
-        # Prune when every valuation that agrees with the decided bits is capped.
-        if capped.any() and capped[(all_vals & int(~free @ pow2)) == base].all():
-            continue
-
-        if size <= leaf_limit:
-            tally = _tally(reducer, los, his)
-            for v in np.nonzero(tally)[0]:
-                add(int(v), int(tally[v]))
-            continue
-
-        widths = his - los
-        unfixed_binary = np.nonzero(binary_mask & (widths > 0))[0]
-        if unfixed_binary.size:
-            j = int(unfixed_binary[0])
-            mid = los[j]
-        else:
-            j = int(np.argmax(widths))
-            mid = los[j] + (his[j] - los[j]) // 2
-        left_hi = his.copy()
-        left_hi[j] = mid
-        right_lo = los.copy()
-        right_lo[j] = mid + 1
-        stack.append((right_lo, his))
-        stack.append((los, left_hi))
+        decided = ~free.any(axis=1)
+        if decided.any():
+            add(np.bincount(base[decided], weights=sizes[decided], minlength=n_vals))
+        pruned = np.zeros_like(decided)
+        if capped.any():
+            pruned[~decided] = _all_capped(capped, base[~decided], ~free[~decided] @ pow2)
+        leaf = ~decided & ~pruned & (sizes <= leaf_limit)
+        if leaf.any():
+            add(_tally(reducer, los[leaf], his[leaf]))
+        branch = ~(decided | pruned | leaf)
+        if branch.any():
+            stack.append(_children(los[branch], his[branch], binary))
+        outcomes += [decided.sum(), pruned.sum(), leaf.sum(), branch.sum()]
 
     return ClassCensus(
         k=k,
         cap=cap,
-        counts=tuple(counts),
+        counts=tuple(int(c) for c in counts),
         cap_hits=tuple(capped.tolist()),
         complete=complete,
         nodes=nodes,
+        node_outcomes=NodeOutcomes(*(int(n) for n in outcomes)),
     )
-
-
-def feasible_classes(census: ClassCensus) -> list[tuple[str, int]]:
-    """Feasible valuations (as bit strings) with their capped counts, ordered
-    by the valuation read as a binary integer."""
-    if not census.complete:
-        raise IncompleteCensus("census is incomplete (budget exhausted)")
-    return [
-        (valuation_label(v, census.k), census.counts[v])
-        for v in range(2**census.k)
-        if census.counts[v] > 0
-    ]

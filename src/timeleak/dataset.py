@@ -46,6 +46,13 @@ class NonFiniteCell(DatasetError):
         self.col = col
 
 
+class NonFiniteValue(DatasetError):
+    def __init__(self, row: int, col: str, value: float):
+        super().__init__(f"non-finite value {value!r} at row {row} of {col!r}")
+        self.row = row
+        self.col = col
+
+
 class SecretValueOutOfDomain(DatasetError):
     def __init__(self, row: int, col: str, value: float):
         super().__init__(f"secret value {value!r} at row {row} outside domain of {col!r}")
@@ -135,6 +142,12 @@ class TraceDataset:
         x = np.asarray(x, dtype=np.float64).reshape(n_rows, schema.n_secret)
         y = np.asarray(y, dtype=np.float64).reshape(n_rows, schema.n_public)
         if validate:
+            # Column by column, so the mask stays one column long.
+            for name, col in [*zip(schema.public_features, y.T), ("time", t)]:
+                finite = np.isfinite(col)
+                if not finite.all():
+                    row = int(np.argmin(finite))
+                    raise NonFiniteValue(row, name, float(col[row]))
             if np.any(t < 0):
                 raise DatasetError("negative execution time")
             for j, (name, dom) in enumerate(schema.secret_features):

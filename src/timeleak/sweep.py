@@ -71,9 +71,6 @@ class SweepResult:
     def record(self, k: int) -> KRecord:
         return self.records[k]
 
-    def sse_curve(self) -> list[float]:
-        return [r.test_sse for r in self.records]
-
     def to_json(self) -> dict:
         return {
             "format": "timeleak-sweep",
@@ -96,22 +93,26 @@ class SweepResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepResult":
-        if obj.get("format") != "timeleak-sweep" or obj.get("version") != 1:
+        if not isinstance(obj, dict) or obj.get("format") != "timeleak-sweep" or obj.get("version") != 1:
             raise SweepError("not a sweep file (or unsupported version)")
-        records = tuple(
-            KRecord(
-                k=int(r["k"]),
-                test_sse=float(r["test_sse"]),
-                test_r2=float(r["test_r2"]),
-                max_abs_residual=float(r["max_abs_residual"]),
-                seed=int(r["seed"]),
-                model_path=r.get("model_path"),
+        try:
+            records = tuple(
+                KRecord(
+                    k=int(r["k"]),
+                    test_sse=float(r["test_sse"]),
+                    test_r2=float(r["test_r2"]),
+                    max_abs_residual=float(r["max_abs_residual"]),
+                    seed=int(r["seed"]),
+                    model_path=r.get("model_path"),
+                )
+                for r in obj["records"]
             )
-            for r in obj["records"]
-        )
-        k_star = int(obj["k_star"])
+            k_star = int(obj["k_star"])
+            tau = float(obj["tau"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise SweepError(f"malformed sweep file: {exc!r}") from None
         verdict = Verdict(leak=k_star >= 1, k_star=k_star)
-        return cls(records=records, k_star=k_star, tau=float(obj["tau"]), verdict=verdict)
+        return cls(records=records, k_star=k_star, tau=tau, verdict=verdict)
 
 
 def select_k(sse_by_k: Sequence[float], tau: float = DEFAULT_TAU) -> int:

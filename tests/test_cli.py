@@ -128,6 +128,60 @@ class TestPipeline:
         rc = main(["report", "--census", str(census_path), "--sweep", str(bad_sweep), "--out", str(tmp_path / "r.json")])
         assert rc == 5
 
+    def test_analyze_reports_node_outcomes(self, artifacts, tmp_path, capsys):
+        _, sweep_dir, census_path, _ = artifacts
+        census = json.loads(census_path.read_text())
+        outcomes = census["node_outcomes"]
+        names = ["decided", "pruned", "enumerated", "split"]
+        assert sorted(outcomes) == sorted(names)
+        assert sum(outcomes.values()) == census["nodes"]
+        out = tmp_path / "again.json"
+        k = census["k"]
+        assert main(["analyze", "--model", str(sweep_dir / f"models/k{k}.json"), "--cap", "4", "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        assert f"nodes={census['nodes']} (" + ", ".join(f"{name}={outcomes[name]}" for name in names) + ")" in line
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"k": 40}, {"k": -1}, {"classes": []}, {"classes": "x"}],
+        ids=["k40", "negative-k", "no-classes", "classes-not-a-list"],
+    )
+    def test_report_malformed_census_exits_5(self, artifacts, tmp_path, capsys, edit):
+        _, sweep_dir, census_path, _ = artifacts
+        bad = tmp_path / "bad_census.json"
+        bad.write_text(json.dumps({**json.loads(census_path.read_text()), **edit}))
+        rc = main(["report", "--census", str(bad), "--sweep", str(sweep_dir / "sweep.json"), "--out", str(tmp_path / "r.json")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: census ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"records": None}, {"records": [{"k": 0}]}, {"tau": "x"}, {"k_star": 9}, {"format": "other"}],
+        ids=["records-null", "record-fields", "tau", "k-star-outside", "format"],
+    )
+    def test_report_malformed_sweep_exits_5(self, artifacts, tmp_path, capsys, edit):
+        _, sweep_dir, census_path, _ = artifacts
+        bad = tmp_path / "bad_sweep.json"
+        bad.write_text(json.dumps({**json.loads((sweep_dir / "sweep.json").read_text()), **edit}))
+        rc = main(["report", "--census", str(census_path), "--sweep", str(bad), "--out", str(tmp_path / "r.json")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) > len("error: \n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_error_message_names_the_exception(self, artifacts, tmp_path, capsys, monkeypatch):
+        _, sweep_dir, census_path, _ = artifacts
+
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("timeleak.quantifier.build_report", fail)
+        rc = main(["report", "--census", str(census_path), "--sweep", str(sweep_dir / "sweep.json"), "--out", str(tmp_path / "r.json")])
+        assert rc == 5
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
     def test_cap_one_census(self, artifacts, tmp_path):
         _, sweep_dir, _, _ = artifacts
         sweep = json.loads((sweep_dir / "sweep.json").read_text())

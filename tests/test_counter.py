@@ -6,6 +6,7 @@ import pytest
 from timeleak import counter as C
 from timeleak import dataset as D
 from timeleak import network as N
+from timeleak import quantifier as Q
 
 from conftest import binary_schema, identity_normalizer, random_reducer_net
 
@@ -91,6 +92,42 @@ class TestTally:
         assert tally.tolist() == expected.tolist()
         assert np.count_nonzero(tally) > 1
         assert tally.sum() == 8 * 1 * 2 * 6
+
+    def test_many_boxes_match_explicit_listing(self, rng):
+        # Boxes of four shapes, some sharing one, with negative lo. At block 7
+        # the 8-point and 24-point shapes list rows of a smaller grid, and the
+        # 11-wide last feature takes no grid at all (one point per row).
+        domains = (D.IntRange(-5, 5), D.Binary(), D.Binary(), D.IntRange(-6, 6))
+        reducer = straddling_reducer(rng, domains)
+        boxes = [
+            ((-4, 1, 0, -3), (3, 1, 1, 2)),
+            ((-5, 0, 0, 0), (-5, 1, 1, 0)),
+            ((2, 0, 1, -6), (2, 1, 1, 4)),
+            ((0, 0, 0, 1), (0, 1, 1, 1)),
+            ((-1, 1, 1, -6), (0, 1, 1, -1)),
+            ((-5, 0, 0, -6), (5, 1, 1, 6)),
+            ((4, 1, 0, 5), (5, 1, 1, 6)),
+        ]
+        expected = np.zeros(8, dtype=np.int64)
+        for los, his in boxes:
+            points = np.array(list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))), dtype=np.float64)
+            expected += np.bincount(reducer.valuations(points), minlength=8)
+        los, his = (np.array([box[i] for box in boxes]) for i in (0, 1))
+        for block in (1, 7, 64, C.ENUM_BLOCK):
+            assert C._tally(reducer, los, his, block=block).tolist() == expected.tolist()
+        assert np.count_nonzero(expected) > 1
+
+    def test_points_per_evaluation_are_bounded(self, rng, monkeypatch):
+        domains = (D.IntRange(-5, 5), D.Binary(), D.IntRange(-20, 20))
+        reducer = straddling_reducer(rng, domains)
+        seen = []
+        evaluate = C.ReducerNet.valuations
+        monkeypatch.setattr(C.ReducerNet, "valuations", lambda self, x: seen.append(len(x)) or evaluate(self, x))
+        los = np.array([[-5, 0, -20], [0, 1, 3], [1, 0, -2]])
+        his = np.array([[5, 1, 20], [0, 1, 9], [4, 1, 3]])
+        tally = C._tally(reducer, los, his, block=30)
+        assert tally.sum() == 11 * 2 * 41 + 7 + 4 * 2 * 6
+        assert max(seen) <= 30 and sum(seen) == tally.sum()
 
 
 class TestBruteForce:
@@ -202,11 +239,16 @@ class TestBnb:
             assert census == oracle
             assert census.nodes > 1 and oracle.feasible_count > 1
 
-    def test_cap_prune_past_sixteen_free_bits(self):
+    def test_cap_prune_past_sixteen_free_bits(self, monkeypatch):
         # k = 17 over 10 bits: bits 0-4 read x0-x4, bits 5-15 copy x0 and bit
         # 16 reads x9, so all 17 bits are free at the root. At cap 1 the mask
         # test runs over 2^17 valuations and prunes boxes whose classes are
-        # already capped.
+        # already capped. Blocks of 3 boxes let a class cap before its other
+        # boxes are split (at 8 or more this 1024-point domain's leaves are
+        # all split before any is enumerated), and 3 x 2^17 mask cells take
+        # two row slices.
+        monkeypatch.setattr(C, "FRONTIER_BLOCK", 3)
+        assert 2**17 < C.PRUNE_MASK_CELLS < 3 * 2**17
         w = np.zeros((17, 10))
         w[np.arange(5), np.arange(5)] = 1.0
         w[5:16, 0] = 1.0
@@ -247,7 +289,61 @@ class TestBnb:
         assert not census.complete
         assert census.nodes <= 500
         with pytest.raises(C.IncompleteCensus):
-            C.feasible_classes(census)
+            Q.build_report(census)
+
+    def test_budget_runs_out_inside_a_block(self, rng):
+        # Blocks of 1, 2, ..., 128 boxes take 255 nodes; the next block of 256
+        # is cut to the 45 the budget has left.
+        reducer = straddling_reducer(rng, (D.Binary(),) * 30, k=4)
+        dom = C.SecretDomain(los=(0,) * 30, his=(1,) * 30)
+        census = C.bnb_census(reducer, dom, cap=10, budget=300)
+        assert census.nodes == 300 and not census.complete
+        assert sum(census.node_outcomes) == 300
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_frontier_block_does_not_change_census(self, rng, monkeypatch, block):
+        monkeypatch.setattr(C, "FRONTIER_BLOCK", block)
+        for domains in ((D.Binary(),) * 8, (D.IntRange(-7, 9), D.Binary(), D.IntRange(0, 12))):
+            reducer = straddling_reducer(rng, domains, hidden=6, k=3)
+            dom = C.SecretDomain(los=tuple(d.lo for d in domains), his=tuple(d.hi for d in domains))
+            for cap in (1, 5, dom.size):
+                oracle = C.brute_force_census(reducer, dom, cap=cap)
+                assert oracle.feasible_count > 1
+                for leaf_limit in (1, 16, dom.size):
+                    census = C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit)
+                    assert census == oracle
+                    assert leaf_limit >= dom.size or census.nodes > block
+
+    def test_node_outcomes_sum_to_nodes(self, rng, and_gate_reducer):
+        tie = hand_reducer([[1.0, -1.0]], [0.0], (D.Binary(), D.Binary()))
+        constant = hand_reducer([[0.0, 0.0, 0.0]], [-1.0], (D.Binary(),) * 3)
+        mixed = straddling_reducer(rng, (D.IntRange(-40, 40), D.Binary(), D.Binary()))
+        seen = C.NodeOutcomes(0, 0, 0, 0)
+        for reducer in (and_gate_reducer, tie, constant, mixed):
+            dom = C.SecretDomain(los=tuple(d.lo for d in reducer.domains), his=tuple(d.hi for d in reducer.domains))
+            for cap in (1, dom.size):
+                for leaf_limit in (1, 16, C.LEAF_ENUM_LIMIT, dom.size):
+                    census = C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit)
+                    assert sum(census.node_outcomes) == census.nodes
+                    assert census.to_json()["node_outcomes"] == census.node_outcomes._asdict()
+                    seen = C.NodeOutcomes(*(max(a, b) for a, b in zip(seen, census.node_outcomes)))
+        # The constant reducer is decided at the root; every outcome occurs.
+        assert C.bnb_census(constant, C.SecretDomain((0,) * 3, (1,) * 3), cap=5).node_outcomes == (1, 0, 0, 0)
+        assert min(seen) > 0
+
+    def test_large_counts_saturate_exactly(self):
+        # A constant reducer is decided at the root, so its one class takes
+        # the whole domain in closed form.
+        def census(n_bits, cap):
+            reducer = hand_reducer([[0.0] * n_bits], [-1.0], (D.Binary(),) * n_bits)
+            return C.bnb_census(reducer, C.SecretDomain((0,) * n_bits, (1,) * n_bits), cap=cap)
+
+        assert census(50, 2**50 + 1).counts == (2**50, 0) and census(50, 2**50 + 1).cap_hits == (False, False)
+        assert census(50, 2**50 - 1).counts == (2**50 - 1, 0) and census(50, 2**50 - 1).cap_hits == (True, False)
+        assert census(60, 3).counts == (3, 0)
+        assert census(4, 10**30).counts == (16, 0)
+        with pytest.raises(C.CounterError):
+            census(60, 2**60)
 
     def test_bad_cap(self, and_gate_reducer):
         dom = C.SecretDomain(los=(0, 0), his=(1, 1))
@@ -259,11 +355,13 @@ class TestFeasibleClasses:
     def test_ordering_and_omission(self, and_gate_reducer):
         dom = C.SecretDomain(los=(0, 0), his=(1, 1))
         census = C.brute_force_census(and_gate_reducer, dom)
-        assert C.feasible_classes(census) == [("0", 3), ("1", 1)]
+        assert census.counts == (3, 1)
+        assert [census.status(v) for v in range(2)] == ["counted", "counted"]
 
     def test_singleton(self):
         census = C.census_from_sizes([7], k=2)
-        assert C.feasible_classes(census) == [("00", 7)]
+        assert census.counts == (7, 0, 0, 0)
+        assert census.feasible_count == 1 and census.status(0) == "counted"
 
 
 class TestCensusJson:
@@ -272,6 +370,45 @@ class TestCensusJson:
         census = C.brute_force_census(and_gate_reducer, dom, cap=2)
         again = C.ClassCensus.from_json(census.to_json())
         assert again == census
+
+    def test_node_outcomes_round_trip(self, and_gate_reducer):
+        dom = C.SecretDomain(los=(0, 0), his=(1, 1))
+        census = C.bnb_census(and_gate_reducer, dom, cap=2, leaf_limit=1)
+        again = C.ClassCensus.from_json(census.to_json())
+        assert again.node_outcomes == census.node_outcomes and again.nodes == census.nodes
+        assert again.to_json() == census.to_json()
+        # A census without the key (the oracle's, or an older file) keeps none.
+        oracle = C.brute_force_census(and_gate_reducer, dom, cap=2)
+        assert "node_outcomes" not in oracle.to_json()
+        assert C.ClassCensus.from_json(oracle.to_json()).node_outcomes is None
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"k": 40},
+            {"k": -1},
+            {"k": 2},
+            {"k": "1"},
+            {"k": 1.0},
+            {"classes": "01"},
+            {"classes": [{"valuation": "1", "status": "counted", "count": 1}] * 2},
+            {"classes": [{"valuation": "0", "status": "counted"}, {"valuation": "1", "status": "counted", "count": 1}]},
+            {"node_outcomes": {"decided": 1}},
+            {"cap": 0},
+            {"cap": "2"},
+            {"classes": [{"valuation": "0", "status": "cap_hit", "count": 2}, {"valuation": "1", "status": "counted", "count": -1}]},
+            {"classes": [{"valuation": "0", "status": "cap_hit", "count": 2}, {"valuation": "1", "status": "infeasible", "count": 1}]},
+            {"classes": [{"valuation": "0", "status": "counted", "count": 3}, {"valuation": "1", "status": "counted", "count": 1}]},
+            {"classes": [{"valuation": "0", "status": "cap_hit", "count": 1}, {"valuation": "1", "status": "counted", "count": 1}]},
+        ],
+    )
+    def test_from_json_rejects_malformed(self, and_gate_reducer, edit):
+        dom = C.SecretDomain(los=(0, 0), his=(1, 1))
+        good = C.bnb_census(and_gate_reducer, dom, cap=2).to_json()
+        assert [(c["status"], c["count"]) for c in good["classes"]] == [("cap_hit", 2), ("counted", 1)]
+        obj = {**good, **edit}
+        with pytest.raises(C.CounterError):
+            C.ClassCensus.from_json(obj)
 
     def test_from_sizes_with_cap(self):
         census = C.census_from_sizes([68, 16, 27, 1, 16], cap=100, k=3)

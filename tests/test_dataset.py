@@ -216,6 +216,31 @@ class TestLoadCsv:
         assert (info.value.row, info.value.col) == (120_002, "p_0")
 
 
+class TestTraceDataset:
+    @pytest.mark.parametrize(
+        "column, row, value",
+        [("p_0", 2, float("nan")), ("p_1", 0, float("-inf")), ("time", 3, float("inf")), ("time", 1, float("nan"))],
+    )
+    def test_non_finite_public_or_time_names_row_and_column(self, column, row, value):
+        schema = D.FeatureSchema((("s_0", D.Binary()),), ("p_0", "p_1"), "ns")
+        x, y, t = np.zeros((4, 1)), np.ones((4, 2)), np.ones(4)
+        if column == "time":
+            t[row] = value
+        else:
+            y[row, int(column[-1])] = value
+        with pytest.raises(D.NonFiniteValue) as info:
+            D.TraceDataset(schema, x, y, t)
+        assert (info.value.row, info.value.col) == (row, column)
+        assert f"at row {row} of '{column}'" in str(info.value)
+
+    def test_first_bad_row_of_first_bad_column(self):
+        schema = D.FeatureSchema((), ("p_0", "p_1"), "ns")
+        y = np.array([[0.0, np.inf], [np.nan, 1.0], [np.nan, 1.0]])
+        with pytest.raises(D.NonFiniteValue) as info:
+            D.TraceDataset(schema, np.zeros((3, 0)), y, [np.inf, 1.0, 1.0])
+        assert (info.value.row, info.value.col) == (1, "p_0")
+
+
 class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(D.DatasetError):

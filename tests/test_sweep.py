@@ -106,7 +106,7 @@ class TestSweepResultInvariants:
         result = make_result([50, 2.0, 1.9])
         again = S.SweepResult.from_json(result.to_json())
         assert again.k_star == result.k_star
-        assert again.sse_curve() == result.sse_curve()
+        assert again.records == result.records
         assert again.verdict.label == result.verdict.label
 
 
