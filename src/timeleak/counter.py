@@ -415,13 +415,14 @@ def bnb_census(
     """Branch-and-bound census, exact wherever brute force is applicable.
 
     Search over sub-boxes of the domain, depth-first at the granularity of
-    blocks of up to `FRONTIER_BLOCK` boxes, each block bounded by one interval
-    propagation. Interval bounds fix interface bits over a box; fully
-    determined boxes are counted in closed form, boxes that can only feed
-    already-capped classes are pruned, small boxes are enumerated exactly,
-    and the rest split: binary features before integer features, integer
-    features bisecting their widest interval. Every box taken is one node.
-    Budget exhaustion returns a partial census marked incomplete.
+    blocks of up to `FRONTIER_BLOCK` boxes, and never more than the boxes
+    resolved so far, each block bounded by one interval propagation.
+    Interval bounds fix interface bits over a box; fully determined boxes
+    are counted in closed form, boxes that can only feed already-capped
+    classes are pruned, small boxes are enumerated exactly, and the rest
+    split: binary features before integer features, integer features
+    bisecting their widest interval. Every box taken is one node. Budget
+    exhaustion returns a partial census marked incomplete.
     """
     if cap < 1:
         raise CounterError("cap must be >= 1")
@@ -456,8 +457,11 @@ def bnb_census(
         if nodes >= budget:
             complete = False
             break
+        # A block holds no more boxes than the search has resolved so far: it
+        # dives to its first resolved boxes before it widens, so the classes
+        # they cap can prune the boxes it has not split yet.
+        take = min(FRONTIER_BLOCK, max(1, nodes - outcomes[3]), budget - nodes)
         los, his = stack.pop()
-        take = min(FRONTIER_BLOCK, budget - nodes)
         if len(los) > take:
             stack.append((los[take:], his[take:]))
             los, his = los[:take], his[:take]

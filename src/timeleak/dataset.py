@@ -142,12 +142,11 @@ class TraceDataset:
         x = np.asarray(x, dtype=np.float64).reshape(n_rows, schema.n_secret)
         y = np.asarray(y, dtype=np.float64).reshape(n_rows, schema.n_public)
         if validate:
-            # Column by column, so the mask stays one column long.
-            for name, col in [*zip(schema.public_features, y.T), ("time", t)]:
-                finite = np.isfinite(col)
-                if not finite.all():
-                    row = int(np.argmin(finite))
-                    raise NonFiniteValue(row, name, float(col[row]))
+            columns = [*zip(schema.public_features, y.T), ("time", t)]
+            bad = _first_non_finite(col for _, col in columns)
+            if bad is not None:
+                (name, col), row = columns[bad[0]], bad[1]
+                raise NonFiniteValue(row, name, float(col[row]))
             if np.any(t < 0):
                 raise DatasetError("negative execution time")
             for j, (name, dom) in enumerate(schema.secret_features):
@@ -250,14 +249,13 @@ def load_csv(path, sidecar=None) -> TraceDataset:
     if parsed is None:
         parsed = _scan_body(path, header)
     n_rows = parsed.shape[0]
-    # Column by column, so the mask stays one column long.
-    for c, name in enumerate(header):
-        finite = np.isfinite(parsed[:, c])
-        if not finite.all():
-            r = int(np.argmin(finite))
-            raise NonFiniteCell(r + 2, name, _cell_text(path, r + 2, c))
-
     x = parsed[:, [i for i, _ in secret_cols]]
+    # Secret columns must be finite before their domains are inferred; the
+    # dataset checks the public and time columns.
+    bad = _first_non_finite(x.T)
+    if bad is not None:
+        c, r = secret_cols[bad[0]][0], bad[1]
+        raise NonFiniteCell(r + 2, header[c], _cell_text(path, r + 2, c))
     y = parsed[:, [i for i, _ in public_cols]]
     t = parsed[:, -1]
 
@@ -289,7 +287,22 @@ def load_csv(path, sidecar=None) -> TraceDataset:
 
     time_unit = schema_override.time_unit if schema_override else "seconds"
     schema = FeatureSchema(tuple(secret_features), tuple(n for _, n in public_cols), time_unit)
-    return TraceDataset(schema, x, y, t)
+    try:
+        return TraceDataset(schema, x, y, t)
+    except NonFiniteValue as exc:
+        # Public names are distinct and carry a p_ prefix, so this is the cell.
+        c, r = header.index(exc.col), exc.row
+        raise NonFiniteCell(r + 2, exc.col, _cell_text(path, r + 2, c)) from None
+
+
+def _first_non_finite(columns) -> tuple[int, int] | None:
+    """(column, row) of the first non-finite value, scanning the columns in
+    order; checked one column at a time so no table-sized mask is built."""
+    for j, col in enumerate(columns):
+        finite = np.isfinite(col)
+        if not finite.all():
+            return j, int(np.argmin(finite))
+    return None
 
 
 def _parse_body(fh, width: int) -> np.ndarray | None:

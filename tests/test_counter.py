@@ -243,11 +243,8 @@ class TestBnb:
         # k = 17 over 10 bits: bits 0-4 read x0-x4, bits 5-15 copy x0 and bit
         # 16 reads x9, so all 17 bits are free at the root. At cap 1 the mask
         # test runs over 2^17 valuations and prunes boxes whose classes are
-        # already capped. Blocks of 3 boxes let a class cap before its other
-        # boxes are split (at 8 or more this 1024-point domain's leaves are
-        # all split before any is enumerated), and 3 x 2^17 mask cells take
-        # two row slices.
-        monkeypatch.setattr(C, "FRONTIER_BLOCK", 3)
+        # already capped: at the default block size, and in blocks of 3,
+        # whose 3 x 2^17 mask cells take two row slices.
         assert 2**17 < C.PRUNE_MASK_CELLS < 3 * 2**17
         w = np.zeros((17, 10))
         w[np.arange(5), np.arange(5)] = 1.0
@@ -257,10 +254,14 @@ class TestBnb:
         dom = C.SecretDomain(los=(0,) * 10, his=(1,) * 10)
         lb, ub = C.propagate_bounds(reducer, list(zip(dom.los, dom.his)))
         assert np.sum((lb < C.DECISION_MARGIN) & (ub >= -C.DECISION_MARGIN)) == 17
-        census = C.bnb_census(reducer, dom, cap=1, leaf_limit=4)
-        assert census == C.brute_force_census(reducer, dom, cap=1)
-        assert census.feasible_count == 64
-        assert census.nodes < C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=4).nodes
+        oracle = C.brute_force_census(reducer, dom, cap=1)
+        assert oracle.feasible_count == 64
+        for block in (C.FRONTIER_BLOCK, 3):
+            monkeypatch.setattr(C, "FRONTIER_BLOCK", block)
+            census = C.bnb_census(reducer, dom, cap=1, leaf_limit=4)
+            assert census == oracle
+            assert census.node_outcomes.pruned > 0
+            assert census.nodes < C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=4).nodes
 
     def test_completeness_sums_to_domain_size(self, rng):
         net = random_reducer_net(rng, n_secret=7, k=3, hidden=(6,))
@@ -292,8 +293,9 @@ class TestBnb:
             Q.build_report(census)
 
     def test_budget_runs_out_inside_a_block(self, rng):
-        # Blocks of 1, 2, ..., 128 boxes take 255 nodes; the next block of 256
-        # is cut to the 45 the budget has left.
+        # The search dives one box at a time to its first leaves, then widens
+        # its blocks; the last one, of 16 boxes, is cut to the 15 the budget
+        # of 300 has left.
         reducer = straddling_reducer(rng, (D.Binary(),) * 30, k=4)
         dom = C.SecretDomain(los=(0,) * 30, his=(1,) * 30)
         census = C.bnb_census(reducer, dom, cap=10, budget=300)
