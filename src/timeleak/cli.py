@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, counter, dataset, network, quantifier, sweep as sweep_mod
@@ -151,11 +152,8 @@ def cmd_gen(args) -> int:
     if args.family == "rn":
         if not args.preset:
             raise CliError("--preset is required for the rn family")
-        preset = dataset.rn_preset(args.preset)
-        ds = dataset.gen_rn(
-            preset.n_secret_bits, preset.clauses, preset.n_public_bits, args.rows, args.noise_std, args.seed
-        )
-        ground_truth = preset.ground_truth_sizes()
+        ds = dataset.gen_rn_preset(args.preset, args.rows, args.noise_std, args.seed)
+        ground_truth = dataset.rn_preset(args.preset).ground_truth_sizes()
     elif args.family == "bl":
         i = args.variants
         secret_bits = args.secret_bits if args.secret_bits is not None else 8 + i
@@ -209,20 +207,8 @@ def cmd_sweep(args) -> int:
         rel = f"models/k{rec.k}.json"
         network.save(rec.model, out_dir / rel)
         manifest.add_output(out_dir / rel)
-        records.append(
-            sweep_mod.KRecord(
-                k=rec.k,
-                test_sse=rec.test_sse,
-                test_r2=rec.test_r2,
-                max_abs_residual=rec.max_abs_residual,
-                seed=rec.seed,
-                model=rec.model,
-                model_path=rel,
-            )
-        )
-    result = sweep_mod.SweepResult(
-        records=tuple(records), k_star=result.k_star, tau=result.tau, verdict=result.verdict
-    )
+        records.append(replace(rec, model_path=rel))
+    result = replace(result, records=tuple(records))
 
     verdict = sweep_mod.detect(result, epsilon=args.epsilon)
     payload = result.to_json()

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Binary, Domain, FeatureSchema
-from .network import TriBranchNetwork, predict_batch
+from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch
 
 BRUTE_FORCE_LIMIT = 2**20
 DEFAULT_NODE_BUDGET = 10**8
@@ -113,13 +113,12 @@ class ReducerNet:
         return self.input_shift.shape[0]
 
     def preactivations(self, x_raw: np.ndarray) -> np.ndarray:
-        h = (np.asarray(x_raw, dtype=np.float64) - self.input_shift) / self.input_denom
-        for w, b in self.hidden:
-            h = np.maximum(h @ w.T + b, 0.0)
-        return h @ self.iface_w.T + self.iface_b
+        """Interface pre-activations of (rows, d) raw secrets."""
+        xn = (np.asarray(x_raw, dtype=np.float64) - self.input_shift) / self.input_denom
+        return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn)[-1]
 
     def bits(self, x_raw: np.ndarray) -> np.ndarray:
-        return (self.preactivations(x_raw) >= 0).astype(np.int64)
+        return interface_bits(self.preactivations(x_raw)).astype(np.int64)
 
     def valuations(self, x_raw: np.ndarray) -> np.ndarray:
         """Interface valuations as integers; the first interface bit is the MSB."""
@@ -181,7 +180,6 @@ class ClassCensus:
     cap_hits: tuple[bool, ...]
     complete: bool = True
     nodes: int = field(default=0, compare=False)
-    true_counts: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     node_outcomes: NodeOutcomes | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -230,6 +228,11 @@ class ClassCensus:
             raise CounterError(f"census k must be a non-negative integer, got {k!r}")
         if cap is not None and (type(cap) is not int or cap < 1):
             raise CounterError(f"census cap must be a positive integer or null, got {cap!r}")
+        complete, nodes, outcomes = obj.get("complete", True), obj.get("nodes", 0), obj.get("node_outcomes")
+        if type(complete) is not bool:
+            raise CounterError(f"census complete must be true or false, got {complete!r}")
+        if type(nodes) is not int:
+            raise CounterError(f"census nodes must be an integer, got {nodes!r}")
         # Checked before anything of size 2^k is built: n must be exactly 2^k.
         n = len(classes) if isinstance(classes, list) else -1
         if n < 1 or n & (n - 1) or n.bit_length() != k + 1:
@@ -238,26 +241,28 @@ class ClassCensus:
             for v, entry in enumerate(classes):
                 if entry["valuation"] != valuation_label(v, k):
                     raise ValueError(f"class {v} has valuation {entry['valuation']!r}")
-            counts = [int(entry["count"]) for entry in classes]
-            if any(c < 0 or (cap is not None and c > cap) for c in counts):
-                raise ValueError("a class count is negative or above the cap")
-            hits = [entry["status"] == "cap_hit" for entry in classes]
-            outcomes = obj.get("node_outcomes")
+            counts = [entry["count"] for entry in classes]
+            if any(type(c) is not int or c < 0 or (cap is not None and c > cap) for c in counts):
+                raise ValueError("a class count is not an integer, or is negative or above the cap")
+            if outcomes is not None:
+                outcomes = NodeOutcomes(**outcomes)
+                if any(type(c) is not int for c in outcomes):
+                    raise ValueError(f"node outcomes {outcomes._asdict()} are not all integers")
             census = cls(
                 k=k,
                 cap=cap,
                 counts=tuple(counts),
-                cap_hits=tuple(hits),
-                complete=bool(obj.get("complete", True)),
-                nodes=int(obj.get("nodes", 0)),
-                node_outcomes=None if outcomes is None else NodeOutcomes(*map(int, NodeOutcomes(**outcomes))),
+                cap_hits=tuple(entry["status"] == "cap_hit" for entry in classes),
+                complete=complete,
+                nodes=nodes,
+                node_outcomes=outcomes,
             )
             for v, entry in enumerate(classes):
                 if entry["status"] != census.status(v):
                     raise ValueError(f"class {v} has status {entry['status']!r} with count {counts[v]}")
             return census
         except (KeyError, TypeError, ValueError) as exc:
-            raise CounterError(f"malformed census file: {exc!r}") from None
+            raise CounterError(f"census file is malformed: {exc!r}") from None
 
 
 def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> ClassCensus:
@@ -277,7 +282,7 @@ def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> Cl
             hits[v] = True
         else:
             counts[v] = s
-    return ClassCensus(k=k, cap=cap, counts=tuple(counts), cap_hits=tuple(hits), true_counts=tuple(sizes) + (0,) * (2**k - len(sizes)))
+    return ClassCensus(k=k, cap=cap, counts=tuple(counts), cap_hits=tuple(hits))
 
 
 def _offsets(shape: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -324,11 +329,8 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK) -> np.ndarray
 
 
 def brute_force_census(reducer: ReducerNet, dom: SecretDomain, cap: int | None = None) -> ClassCensus:
-    """Evaluate the reducer on every domain element and tally exactly.
-
-    The returned counts are capped like the branch-and-bound census, but the
-    exact tallies are retained in `true_counts` for oracle comparisons.
-    """
+    """Evaluate the reducer on every domain element and tally exactly; the
+    counts are capped like the branch-and-bound census."""
     total = dom.size
     if total > BRUTE_FORCE_LIMIT:
         raise DomainTooLarge(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")

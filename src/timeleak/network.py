@@ -213,41 +213,45 @@ def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h @ w.swapaxes(-1, -2) + b[..., None, :]
 
 
+def _relu_stack(layers: list[Layer], h: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Run `h` through ReLU layers: each layer's input, each layer's
+    pre-activation, and the stack's output."""
+    ins, zs = [], []
+    for w, b in layers:
+        ins.append(h)
+        zs.append(_affine(h, w, b))
+        h = np.maximum(zs[-1], 0.0)
+    return ins, zs, h
+
+
+def secret_branch(layers: list[Layer], iface: Layer, xn: np.ndarray):
+    """The secret stack and the interface layer on normalized secrets: the
+    stack's (ins, zs, out) and the interface pre-activations. Training,
+    prediction and the counter's `ReducerNet` all evaluate the branch here."""
+    ins, zs, h = _relu_stack(layers, xn)
+    return ins, zs, h, _affine(h, *iface)
+
+
+def interface_bits(preact: np.ndarray) -> np.ndarray:
+    """The hard threshold of the interface: a bit is set where its
+    pre-activation is at or above zero."""
+    return preact >= 0
+
+
 def _forward_cache(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> dict:
     cache: dict = {}
-
     if net.k > 0:
-        h = xn
-        sec_in, sec_z = [], []
-        for w, b in net.secret_layers:
-            sec_in.append(h)
-            z = _affine(h, w, b)
-            sec_z.append(z)
-            h = np.maximum(z, 0.0)
-        preact = _affine(h, *net.iface)
-        bits = (preact >= 0).astype(np.float64)
-        cache.update(sec_in=sec_in, sec_z=sec_z, sec_out=h, iface_preact=preact)
+        sec_in, sec_z, sec_out, preact = secret_branch(net.secret_layers, net.iface, xn)
+        bits = interface_bits(preact).astype(np.float64)
+        cache.update(sec_in=sec_in, sec_z=sec_z, sec_out=sec_out, iface_preact=preact)
     else:
         bits = np.zeros((*(yn if net.arch.n_public else xn).shape[:-1], 0))
 
-    h = yn
-    pub_in, pub_z = [], []
-    for w, b in net.public_layers:
-        pub_in.append(h)
-        z = _affine(h, w, b)
-        pub_z.append(z)
-        h = np.maximum(z, 0.0)
-    cache.update(pub_in=pub_in, pub_z=pub_z, pub_out=h)
-
+    pub_in, pub_z, h = _relu_stack(net.public_layers, yn)
     h = np.concatenate([bits, h], axis=-1) if net.k > 0 else h
-    joint_in, joint_z = [], []
-    for w, b in net.joint_layers:
-        joint_in.append(h)
-        z = _affine(h, w, b)
-        joint_z.append(z)
-        h = np.maximum(z, 0.0)
+    joint_in, joint_z, h = _relu_stack(net.joint_layers, h)
     t_hat = _affine(h, *net.out_layer)[..., 0]
-    cache.update(joint_in=joint_in, joint_z=joint_z, joint_out=h, bits=bits, t_hat=t_hat)
+    cache.update(pub_in=pub_in, pub_z=pub_z, joint_in=joint_in, joint_z=joint_z, joint_out=h, bits=bits, t_hat=t_hat)
     return cache
 
 
@@ -268,6 +272,16 @@ def _put_gradient(grad: Layer, dz: np.ndarray, h_in: np.ndarray) -> None:
     """Write one layer's weight and bias gradients into their slots."""
     np.matmul(dz.swapaxes(-1, -2), h_in, out=grad[0])
     dz.sum(axis=-2, out=grad[1])
+
+
+def _relu_stack_backward(layers: list[Layer], grads: list[Layer], ins, zs, dh: np.ndarray) -> np.ndarray:
+    """Write the gradients of a `_relu_stack` pass into `grads`, given the
+    gradient `dh` at its output, and return the gradient at its input."""
+    for (w, _), g, h_in, z in zip(reversed(layers), reversed(grads), reversed(ins), reversed(zs)):
+        dz = dh * (z > 0)
+        _put_gradient(g, dz, h_in)
+        dh = dz @ w
+    return dh
 
 
 def loss_and_gradients(
@@ -297,36 +311,14 @@ def loss_and_gradients(
     g_secret, g_iface, g_public, g_joint, g_out = _branches(net.arch, layer_views(net.arch, grad))
     dz = (2.0 / rows) * resid[..., None]
     _put_gradient(g_out, dz, cache["joint_out"])
-    dh = dz @ net.out_layer[0]
-    for (w, _), g, h_in, z in zip(
-        reversed(net.joint_layers), reversed(g_joint), reversed(cache["joint_in"]), reversed(cache["joint_z"])
-    ):
-        dz = dh * (z > 0)
-        _put_gradient(g, dz, h_in)
-        dh = dz @ w
+    dh = _relu_stack_backward(net.joint_layers, g_joint, cache["joint_in"], cache["joint_z"], dz @ net.out_layer[0])
 
     k = net.k
-    dbits, dpub = dh[..., :k], dh[..., k:]
-
     if k > 0:
-        preact = cache["iface_preact"]
-        da = dbits * (np.abs(preact) <= ste_clip)
+        da = dh[..., :k] * (np.abs(cache["iface_preact"]) <= ste_clip)
         _put_gradient(g_iface, da, cache["sec_out"])
-        dh_s = da @ net.iface[0]
-        for (w, _), g, h_in, z in zip(
-            reversed(net.secret_layers), reversed(g_secret), reversed(cache["sec_in"]), reversed(cache["sec_z"])
-        ):
-            dz = dh_s * (z > 0)
-            _put_gradient(g, dz, h_in)
-            dh_s = dz @ w
-
-    dh_p = dpub
-    for (w, _), g, h_in, z in zip(
-        reversed(net.public_layers), reversed(g_public), reversed(cache["pub_in"]), reversed(cache["pub_z"])
-    ):
-        dz = dh_p * (z > 0)
-        _put_gradient(g, dz, h_in)
-        dh_p = dz @ w
+        _relu_stack_backward(net.secret_layers, g_secret, cache["sec_in"], cache["sec_z"], da @ net.iface[0])
+    _relu_stack_backward(net.public_layers, g_public, cache["pub_in"], cache["pub_z"], dh[..., k:])
 
     return loss, grad
 
@@ -469,12 +461,17 @@ def sse(net: TriBranchNetwork, ds: TraceDataset) -> float:
     return float(_sse_arrays(net, *_normalized_arrays(net.normalizer, ds)))
 
 
-def r2(net: TriBranchNetwork, ds: TraceDataset) -> float:
-    """Coefficient of determination on the denormalized time scale."""
+def _raw_predictions(net: TriBranchNetwork, ds: TraceDataset) -> np.ndarray:
+    """Predicted times of a non-empty dataset, in raw time units."""
     if ds.n_rows == 0:
         raise NetworkError("dataset is empty")
-    xn, yn, _ = _normalized_arrays(net.normalizer, ds)
-    t_hat = net.normalizer.unmap_time(predict_batch(net, xn, yn)[0])
+    norm = net.normalizer
+    return norm.unmap_time(predict_batch(net, norm.map_secrets(ds.x), norm.map_publics(ds.y))[0])
+
+
+def r2(net: TriBranchNetwork, ds: TraceDataset) -> float:
+    """Coefficient of determination on the denormalized time scale."""
+    t_hat = _raw_predictions(net, ds)
     ss_res = float(np.sum((ds.t - t_hat) ** 2))
     ss_tot = float(np.sum((ds.t - ds.t.mean()) ** 2))
     if ss_tot == 0.0:
@@ -484,11 +481,7 @@ def r2(net: TriBranchNetwork, ds: TraceDataset) -> float:
 
 def max_abs_residual(net: TriBranchNetwork, ds: TraceDataset) -> float:
     """Largest absolute prediction error in raw time units (the infinity norm)."""
-    if ds.n_rows == 0:
-        raise NetworkError("dataset is empty")
-    xn, yn, _ = _normalized_arrays(net.normalizer, ds)
-    t_hat = net.normalizer.unmap_time(predict_batch(net, xn, yn)[0])
-    return float(np.max(np.abs(ds.t - t_hat)))
+    return float(np.max(np.abs(ds.t - _raw_predictions(net, ds))))
 
 
 # ---------------------------------------------------------------------------

@@ -97,22 +97,6 @@ class LeakReport:
             "provenance": dict(self.provenance),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LeakReport":
-        if obj.get("format") != REPORT_FORMAT or obj.get("version") != REPORT_VERSION:
-            raise QuantifierError("not a leak report file (or unsupported version)")
-        return cls(
-            k=int(obj["k"]),
-            n_classes=int(obj["n_classes"]),
-            cap=obj.get("cap"),
-            total=int(obj["total"]),
-            initial_bits=float(obj["se_i"]),
-            remaining_bits=float(obj["se_o"]),
-            leaked_bits=float(obj["se_l"]),
-            class_sizes=tuple(obj["class_sizes"]),
-            provenance=obj.get("provenance", {}),
-        )
-
 
 def build_report(
     census: ClassCensus,

@@ -41,6 +41,14 @@ class Verdict:
         return f"LeakDetected(k={self.k_star})" if self.leak else "NoLeakDetected"
 
 
+def _json_field(obj: dict, key: str, types: tuple[type, ...]):
+    """obj[key], whose exact type must be one of `types` (so a bool is no int)."""
+    value = obj[key]
+    if type(value) not in types:
+        raise TypeError(f"{key} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class KRecord:
     k: int
@@ -98,17 +106,17 @@ class SweepResult:
         try:
             records = tuple(
                 KRecord(
-                    k=int(r["k"]),
-                    test_sse=float(r["test_sse"]),
-                    test_r2=float(r["test_r2"]),
-                    max_abs_residual=float(r["max_abs_residual"]),
-                    seed=int(r["seed"]),
-                    model_path=r.get("model_path"),
+                    k=_json_field(r, "k", (int,)),
+                    test_sse=float(_json_field(r, "test_sse", (int, float))),
+                    test_r2=float(_json_field(r, "test_r2", (int, float))),
+                    max_abs_residual=float(_json_field(r, "max_abs_residual", (int, float))),
+                    seed=_json_field(r, "seed", (int,)),
+                    model_path=_json_field({"model_path": None, **r}, "model_path", (str, type(None))),
                 )
                 for r in obj["records"]
             )
-            k_star = int(obj["k_star"])
-            tau = float(obj["tau"])
+            k_star = _json_field(obj, "k_star", (int,))
+            tau = float(_json_field(obj, "tau", (int, float)))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SweepError(f"malformed sweep file: {exc!r}") from None
         verdict = Verdict(leak=k_star >= 1, k_star=k_star)

@@ -63,6 +63,17 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+def edit_first(obj: dict, key: str, **fields) -> dict:
+    """An edit that changes `fields` of the first entry of the list obj[key]."""
+    return {key: [{**obj[key][0], **fields}, *obj[key][1:]]}
+
+
+def apply_edit(obj: dict, edit) -> dict:
+    """`obj` with the top-level keys of `edit` replaced; a callable edit is
+    given `obj` and returns those keys."""
+    return {**obj, **(edit(obj) if callable(edit) else edit)}
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("pipe")
@@ -143,13 +154,26 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "edit",
-        [{"k": 40}, {"k": -1}, {"classes": []}, {"classes": "x"}],
-        ids=["k40", "negative-k", "no-classes", "classes-not-a-list"],
+        [
+            {"k": 40},
+            {"k": -1},
+            {"classes": []},
+            {"classes": "x"},
+            lambda census: edit_first(census, "classes", count=census["classes"][0]["count"] + 0.9),
+            {"complete": "false"},
+            {"nodes": 1.5},
+            {"nodes": True},
+            lambda census: {"node_outcomes": {**census["node_outcomes"], "split": census["node_outcomes"]["split"] + 0.5}},
+        ],
+        ids=[
+            "k40", "negative-k", "no-classes", "classes-not-a-list", "count-float", "complete-string",
+            "nodes-float", "nodes-bool", "outcome-float",
+        ],
     )
     def test_report_malformed_census_exits_5(self, artifacts, tmp_path, capsys, edit):
         _, sweep_dir, census_path, _ = artifacts
         bad = tmp_path / "bad_census.json"
-        bad.write_text(json.dumps({**json.loads(census_path.read_text()), **edit}))
+        bad.write_text(json.dumps(apply_edit(json.loads(census_path.read_text()), edit)))
         rc = main(["report", "--census", str(bad), "--sweep", str(sweep_dir / "sweep.json"), "--out", str(tmp_path / "r.json")])
         assert rc == 5
         err = capsys.readouterr().err
@@ -158,13 +182,27 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "edit",
-        [{"records": None}, {"records": [{"k": 0}]}, {"tau": "x"}, {"k_star": 9}, {"format": "other"}],
-        ids=["records-null", "record-fields", "tau", "k-star-outside", "format"],
+        [
+            {"records": None},
+            {"records": [{"k": 0}]},
+            {"tau": "x"},
+            {"k_star": 9},
+            {"format": "other"},
+            lambda sweep: {"k_star": sweep["k_star"] + 0.9},
+            {"tau": True},
+            lambda sweep: edit_first(sweep, "records", seed=sweep["records"][0]["seed"] + 0.5),
+            lambda sweep: edit_first(sweep, "records", test_sse=str(sweep["records"][0]["test_sse"])),
+            lambda sweep: edit_first(sweep, "records", model_path=5),
+        ],
+        ids=[
+            "records-null", "record-fields", "tau", "k-star-outside", "format", "k-star-float", "tau-bool",
+            "seed-float", "sse-string", "model-path-number",
+        ],
     )
     def test_report_malformed_sweep_exits_5(self, artifacts, tmp_path, capsys, edit):
         _, sweep_dir, census_path, _ = artifacts
         bad = tmp_path / "bad_sweep.json"
-        bad.write_text(json.dumps({**json.loads((sweep_dir / "sweep.json").read_text()), **edit}))
+        bad.write_text(json.dumps(apply_edit(json.loads((sweep_dir / "sweep.json").read_text()), edit)))
         rc = main(["report", "--census", str(census_path), "--sweep", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 5
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ class TestExtractReducer:
         x = rng.integers(0, 2, size=(500, 6)).astype(np.float64)
         _, parent_bits = N.predict_batch(net, net.normalizer.map_secrets(x), np.zeros((500, net.arch.n_public)))
         assert np.array_equal(parent_bits, reducer.bits(x))
+
+    def test_preactivations_equal_the_forward_pass(self, rng):
+        # Two secret layers and a secret map that is not the identity: the
+        # reducer's raw-space pre-activations are the training pass's, bit for bit.
+        net = random_reducer_net(rng, n_secret=5, k=3, hidden=(7, 6))
+        net.normalizer = replace(net.normalizer, secret_shift=rng.uniform(-1, 1, 5), secret_denom=rng.uniform(0.5, 2, 5))
+        reducer = C.extract_reducer(net)
+        x = rng.integers(0, 2, size=(400, 5)).astype(np.float64)
+        cache = N._forward_cache(net, net.normalizer.map_secrets(x), np.zeros((400, net.arch.n_public)))
+        assert np.array_equal(reducer.preactivations(x), cache["iface_preact"])
 
     def test_k0_rejected(self):
         arch = N.Architecture(n_secret=2, n_public=2, k=0, joint_widths=(4,))
@@ -149,7 +160,7 @@ class TestBruteForce:
         census = C.brute_force_census(and_gate_reducer, dom, cap=2)
         assert census.counts == (2, 1)
         assert census.cap_hits == (True, False)
-        assert census.true_counts == (3, 1)
+        assert C.brute_force_census(and_gate_reducer, dom).counts == (3, 1)
 
     def test_domain_guard(self):
         reducer = hand_reducer([[1.0]], [0.0], (D.IntRange(0, 2**21),))
@@ -402,6 +413,11 @@ class TestCensusJson:
             {"classes": [{"valuation": "0", "status": "cap_hit", "count": 2}, {"valuation": "1", "status": "infeasible", "count": 1}]},
             {"classes": [{"valuation": "0", "status": "counted", "count": 3}, {"valuation": "1", "status": "counted", "count": 1}]},
             {"classes": [{"valuation": "0", "status": "cap_hit", "count": 1}, {"valuation": "1", "status": "counted", "count": 1}]},
+            {"classes": [{"valuation": "0", "status": "cap_hit", "count": 2}, {"valuation": "1", "status": "counted", "count": 1.0}]},
+            {"complete": "false"},
+            {"complete": 1},
+            {"nodes": 7.5},
+            {"node_outcomes": {"decided": 1.0, "pruned": 0, "enumerated": 0, "split": 0}},
         ],
     )
     def test_from_json_rejects_malformed(self, and_gate_reducer, edit):
