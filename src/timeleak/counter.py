@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Binary, Domain, FeatureSchema
-from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch
+from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch, stack_buffers
 
 BRUTE_FORCE_LIMIT = 2**20
 DEFAULT_NODE_BUDGET = 10**8
@@ -112,18 +112,39 @@ class ReducerNet:
     def n_features(self) -> int:
         return self.input_shift.shape[0]
 
-    def preactivations(self, x_raw: np.ndarray) -> np.ndarray:
-        """Interface pre-activations of (rows, d) raw secrets."""
-        xn = (np.asarray(x_raw, dtype=np.float64) - self.input_shift) / self.input_denom
-        return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn)[-1]
+    def preactivations(self, x_raw: np.ndarray, bufs: EvalBuffers | None = None) -> np.ndarray:
+        """Interface pre-activations of (rows, d) raw secrets, written into
+        the first rows of `bufs` (new buffers when none are given)."""
+        x = np.asarray(x_raw, dtype=np.float64)
+        n = len(x)
+        if bufs is None:
+            bufs = EvalBuffers(self, n)
+        xn = np.subtract(x, self.input_shift, out=bufs.xn[:n])
+        xn /= self.input_denom
+        hidden = [(z[:n], h[:n]) for z, h in bufs.hidden]
+        return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn, hidden, bufs.preact[:n])[-1]
 
-    def bits(self, x_raw: np.ndarray) -> np.ndarray:
-        return interface_bits(self.preactivations(x_raw)).astype(np.int64)
+    def bits(self, x_raw: np.ndarray, bufs: EvalBuffers | None = None) -> np.ndarray:
+        return interface_bits(self.preactivations(x_raw, bufs)).astype(np.int64)
 
-    def valuations(self, x_raw: np.ndarray) -> np.ndarray:
+    def valuations(self, x_raw: np.ndarray, bufs: EvalBuffers | None = None) -> np.ndarray:
         """Interface valuations as integers; the first interface bit is the MSB."""
         pow2 = 1 << np.arange(self.k - 1, -1, -1)
-        return self.bits(x_raw) @ pow2
+        return self.bits(x_raw, bufs) @ pow2
+
+
+class EvalBuffers:
+    """The arrays an evaluation of up to `rows` points writes: the points,
+    their normalized form, each hidden layer's pre-activation and output and
+    the interface pre-activations. An evaluation of n points overwrites the
+    first n rows of each before it reads them, so the buffers carry nothing
+    from one evaluation to the next."""
+
+    def __init__(self, reducer: ReducerNet, rows: int):
+        self.points = np.empty((rows, reducer.n_features))
+        self.xn = np.empty_like(self.points)
+        self.hidden = stack_buffers((rows,), tuple(b.shape[0] for _, b in reducer.hidden))
+        self.preact = np.empty((rows, reducer.k))
 
 
 def valuation_label(v: int, k: int) -> str:
@@ -291,7 +312,7 @@ def _offsets(shape: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(index, tuple(shape.tolist())), axis=-1)
 
 
-def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK) -> np.ndarray:
+def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuffers | None = None) -> np.ndarray:
     """Count per valuation over every integer point of the boxes [los[i], his[i]].
 
     `los` and `his` are (N, d) matrices, or one box as two vectors. Boxes of
@@ -299,12 +320,15 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK) -> np.ndarray
     grid spans the trailing features of the shape, at most `block` points of
     them; the leading features, if any are left, are listed by index as rows
     of the grid. At most `block` points go to each `ReducerNet.valuations`
-    call.
+    call, evaluated in `bufs` (of at least `block` rows; new ones when none
+    are given).
     """
     los = np.atleast_2d(np.asarray(los, dtype=np.int64))
     sizes = np.atleast_2d(np.asarray(his, dtype=np.int64)) - los + 1
     d = los.shape[1]
     tally = np.zeros(2**reducer.k, dtype=np.int64)
+    if bufs is None:
+        bufs = EvalBuffers(reducer, block)
     shapes, group = np.unique(sizes, axis=0, return_inverse=True)
     group = group.reshape(-1)
     for s, shape in enumerate(shapes):
@@ -323,8 +347,9 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK) -> np.ndarray
             row_lo = box_lo[r // rows_per_box]
             if rows_per_box > 1:
                 row_lo += _offsets(row_shape, r % rows_per_box)
-            points = (row_lo[:, None, :] + grid).reshape(-1, d)
-            tally += np.bincount(reducer.valuations(points), minlength=tally.size)
+            points = bufs.points[: len(r) * len(grid)]
+            np.add(row_lo[:, None, :], grid, out=points.reshape(len(r), len(grid), d))
+            tally += np.bincount(reducer.valuations(points, bufs), minlength=tally.size)
     return tally
 
 
@@ -444,6 +469,7 @@ def bnb_census(
     shift, denom = reducer.input_shift, reducer.input_denom
     binary = np.asarray([isinstance(d, Binary) for d in reducer.domains])
     outcomes = np.zeros(4, dtype=np.int64)
+    bufs = EvalBuffers(reducer, ENUM_BLOCK)
 
     def add(amounts: np.ndarray) -> None:
         # Float sizes and sums are exact below 2^53, and one that passes 2^53
@@ -484,7 +510,7 @@ def bnb_census(
             pruned[~decided] = _all_capped(capped, base[~decided], ~free[~decided] @ pow2)
         leaf = ~decided & ~pruned & (sizes <= leaf_limit)
         if leaf.any():
-            add(_tally(reducer, los[leaf], his[leaf]))
+            add(_tally(reducer, los[leaf], his[leaf], bufs=bufs))
         branch = ~(decided | pruned | leaf)
         if branch.any():
             stack.append(_children(los[branch], his[branch], binary))

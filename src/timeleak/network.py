@@ -208,63 +208,104 @@ def init(arch: Architecture, seed: int) -> TriBranchNetwork:
     return TriBranchNetwork(arch, flat, seed=seed)
 
 
-def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """h @ w.T + b, per model for a stack's (M, rows, d) activations."""
-    return h @ w.swapaxes(-1, -2) + b[..., None, :]
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """h @ w.T + b, per model for a stack's (M, rows, d) activations, written
+    into `out` when given (a new array otherwise)."""
+    out = np.matmul(h, w.swapaxes(-1, -2), out=out)
+    out += b[..., None, :]
+    return out
 
 
-def _relu_stack(layers: list[Layer], h: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+def stack_buffers(lead: tuple[int, ...], widths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (pre-activation, output) pair of arrays per ReLU layer of these widths."""
+    return [(np.empty((*lead, w)), np.empty((*lead, w))) for w in widths]
+
+
+def _relu_stack(layers: list[Layer], h: np.ndarray, bufs=None) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Run `h` through ReLU layers: each layer's input, each layer's
-    pre-activation, and the stack's output."""
+    pre-activation, and the stack's output. `bufs`, if given, holds one
+    `stack_buffers` pair per layer to write them into."""
     ins, zs = [], []
-    for w, b in layers:
+    for (w, b), (z, out) in zip(layers, bufs or [(None, None)] * len(layers)):
         ins.append(h)
-        zs.append(_affine(h, w, b))
-        h = np.maximum(zs[-1], 0.0)
+        zs.append(_affine(h, w, b, z))
+        h = np.maximum(zs[-1], 0.0, out=out)
     return ins, zs, h
 
 
-def secret_branch(layers: list[Layer], iface: Layer, xn: np.ndarray):
+def secret_branch(layers: list[Layer], iface: Layer, xn: np.ndarray, bufs=None, out: np.ndarray | None = None):
     """The secret stack and the interface layer on normalized secrets: the
-    stack's (ins, zs, out) and the interface pre-activations. Training,
-    prediction and the counter's `ReducerNet` all evaluate the branch here."""
-    ins, zs, h = _relu_stack(layers, xn)
-    return ins, zs, h, _affine(h, *iface)
+    stack's (ins, zs, out) and the interface pre-activations, written into
+    `bufs` and `out` when given. Training, prediction and the counter's
+    `ReducerNet` all evaluate the branch here."""
+    ins, zs, h = _relu_stack(layers, xn, bufs)
+    return ins, zs, h, _affine(h, *iface, out=out)
 
 
-def interface_bits(preact: np.ndarray) -> np.ndarray:
+def interface_bits(preact: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The hard threshold of the interface: a bit is set where its
-    pre-activation is at or above zero."""
-    return preact >= 0
+    pre-activation is at or above zero (1.0 in a float `out`)."""
+    return np.greater_equal(preact, 0.0, out=out)
 
 
-def _forward_cache(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> dict:
+class Workspace:
+    """The arrays a pass over (*lead, rows) batches of one architecture
+    writes: every layer's pre-activation and output, the joint stack's input
+    and the gradient vector. A pass writes each array before it reads it, so
+    a workspace carries nothing from one pass to the next and can serve every
+    pass of its shape; what a pass returns lives here until the next one."""
+
+    def __init__(self, arch: Architecture, lead: tuple[int, ...]):
+        k = arch.k
+        self.secret = stack_buffers(lead, arch.secret_widths if k else ())
+        self.preact = np.empty((*lead, k))
+        # The interface bits, then the public stack's output, which its last
+        # layer writes here directly.
+        self.joint_in = np.empty((*lead, arch.joint_in_dim))
+        self.public = stack_buffers(lead, arch.public_widths)
+        if self.public:
+            self.public[-1] = (self.public[-1][0], self.joint_in[..., k:])
+        self.joint = stack_buffers(lead, arch.joint_widths)
+        self.out = np.empty((*lead, 1))
+        self.grad = np.empty((*lead[:-1], parameter_count(arch)))
+        self.grad_layers = _branches(arch, layer_views(arch, self.grad))
+
+
+def _forward_cache(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray, ws: Workspace | None = None) -> dict:
+    """Every activation of a forward pass, written into `ws` (a new
+    workspace when none is given)."""
+    k = net.k
+    if ws is None:
+        ws = Workspace(net.arch, (yn if net.arch.n_public else xn).shape[:-1])
     cache: dict = {}
-    if net.k > 0:
-        sec_in, sec_z, sec_out, preact = secret_branch(net.secret_layers, net.iface, xn)
-        bits = interface_bits(preact).astype(np.float64)
+    bits = ws.joint_in[..., :k]
+    if k > 0:
+        sec_in, sec_z, sec_out, preact = secret_branch(net.secret_layers, net.iface, xn, ws.secret, ws.preact)
+        interface_bits(preact, out=bits)
         cache.update(sec_in=sec_in, sec_z=sec_z, sec_out=sec_out, iface_preact=preact)
-    else:
-        bits = np.zeros((*(yn if net.arch.n_public else xn).shape[:-1], 0))
 
-    pub_in, pub_z, h = _relu_stack(net.public_layers, yn)
-    h = np.concatenate([bits, h], axis=-1) if net.k > 0 else h
-    joint_in, joint_z, h = _relu_stack(net.joint_layers, h)
-    t_hat = _affine(h, *net.out_layer)[..., 0]
+    pub_in, pub_z, _ = _relu_stack(net.public_layers, yn, ws.public)
+    if not net.public_layers:
+        ws.joint_in[..., k:] = yn
+    joint_in, joint_z, h = _relu_stack(net.joint_layers, ws.joint_in, ws.joint)
+    t_hat = _affine(h, *net.out_layer, out=ws.out)[..., 0]
     cache.update(pub_in=pub_in, pub_z=pub_z, joint_in=joint_in, joint_z=joint_z, joint_out=h, bits=bits, t_hat=t_hat)
     return cache
 
 
-def predict_batch(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(
+    net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray, ws: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Normalized predictions and interface bits for batches of normalized
-    inputs; a stack gives every model the same (rows, d) inputs."""
+    inputs; a stack gives every model the same (rows, d) inputs. The
+    predictions live in `ws` when one is given."""
     if xn.shape[-1] != net.arch.n_secret or yn.shape[-1] != net.arch.n_public:
         raise DimensionMismatch(
             f"expected {net.arch.n_secret} secret / {net.arch.n_public} public features, "
             f"got {xn.shape[-1]} / {yn.shape[-1]}"
         )
     lead = net.out_layer[0].shape[:-2]  # (M,) for a stack
-    cache = _forward_cache(net, np.broadcast_to(xn, (*lead, *xn.shape)), np.broadcast_to(yn, (*lead, *yn.shape)))
+    cache = _forward_cache(net, np.broadcast_to(xn, (*lead, *xn.shape)), np.broadcast_to(yn, (*lead, *yn.shape)), ws)
     return cache["t_hat"], cache["bits"].astype(np.int64)
 
 
@@ -274,13 +315,14 @@ def _put_gradient(grad: Layer, dz: np.ndarray, h_in: np.ndarray) -> None:
     dz.sum(axis=-2, out=grad[1])
 
 
-def _relu_stack_backward(layers: list[Layer], grads: list[Layer], ins, zs, dh: np.ndarray) -> np.ndarray:
+def _relu_stack_backward(layers: list[Layer], grads: list[Layer], ins, zs, dh: np.ndarray, input_grad: bool = True):
     """Write the gradients of a `_relu_stack` pass into `grads`, given the
-    gradient `dh` at its output, and return the gradient at its input."""
-    for (w, _), g, h_in, z in zip(reversed(layers), reversed(grads), reversed(ins), reversed(zs)):
-        dz = dh * (z > 0)
-        _put_gradient(g, dz, h_in)
-        dh = dz @ w
+    gradient `dh` at its output, and return the gradient at its input; with
+    `input_grad` false that gradient is not computed and None is returned."""
+    for i in reversed(range(len(layers))):
+        dz = dh * (zs[i] > 0)
+        _put_gradient(grads[i], dz, ins[i])
+        dh = dz @ layers[i][0] if i or input_grad else None
     return dh
 
 
@@ -288,6 +330,7 @@ def loss_and_gradients(
     net: TriBranchNetwork,
     batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     ste_clip: float = 1.0,
+    ws: Workspace | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean squared error over a normalized batch plus reverse-mode gradients.
 
@@ -297,18 +340,21 @@ def loss_and_gradients(
     interface threshold the backward pass uses the straight-through
     surrogate: the incoming gradient passes unchanged where the
     pre-activation magnitude is at most `ste_clip` and is zeroed elsewhere.
+    The pass writes into `ws` (a new workspace when none is given), and the
+    gradient returned is `ws.grad`.
     """
     xn, yn, tn = batch
     rows = tn.shape[-1]
     if rows == 0:
         raise NetworkError("batch must be non-empty")
-    cache = _forward_cache(net, xn, yn)
+    if ws is None:
+        ws = Workspace(net.arch, tn.shape)
+    cache = _forward_cache(net, xn, yn, ws)
     resid = cache["t_hat"] - tn
     loss = np.mean(resid**2, axis=-1)
 
-    # Every slot is written below, so the buffer needs no zeroing.
-    grad = np.empty_like(net.flat)
-    g_secret, g_iface, g_public, g_joint, g_out = _branches(net.arch, layer_views(net.arch, grad))
+    # Every slot of the gradient is written below.
+    g_secret, g_iface, g_public, g_joint, g_out = ws.grad_layers
     dz = (2.0 / rows) * resid[..., None]
     _put_gradient(g_out, dz, cache["joint_out"])
     dh = _relu_stack_backward(net.joint_layers, g_joint, cache["joint_in"], cache["joint_z"], dz @ net.out_layer[0])
@@ -317,10 +363,10 @@ def loss_and_gradients(
     if k > 0:
         da = dh[..., :k] * (np.abs(cache["iface_preact"]) <= ste_clip)
         _put_gradient(g_iface, da, cache["sec_out"])
-        _relu_stack_backward(net.secret_layers, g_secret, cache["sec_in"], cache["sec_z"], da @ net.iface[0])
-    _relu_stack_backward(net.public_layers, g_public, cache["pub_in"], cache["pub_z"], dh[..., k:])
+        _relu_stack_backward(net.secret_layers, g_secret, cache["sec_in"], cache["sec_z"], da @ net.iface[0], False)
+    _relu_stack_backward(net.public_layers, g_public, cache["pub_in"], cache["pub_z"], dh[..., k:], False)
 
-    return loss, grad
+    return loss, ws.grad
 
 
 @dataclass
@@ -359,9 +405,9 @@ def _normalized_arrays(net_norm: Normalizer, ds: TraceDataset) -> tuple[np.ndarr
     return net_norm.map_secrets(ds.x), net_norm.map_publics(ds.y), net_norm.map_time(ds.t)
 
 
-def _sse_arrays(net: TriBranchNetwork, xn, yn, tn):
-    """SSE of one model, or the (M,) SSEs of a stack."""
-    t_hat, _ = predict_batch(net, xn, yn)
+def _sse_arrays(net: TriBranchNetwork, xn, yn, tn, ws: Workspace | None = None):
+    """SSE of one model, or the (M,) SSEs of a stack, evaluated in `ws` when given."""
+    t_hat, _ = predict_batch(net, xn, yn, ws)
     return np.sum((t_hat - tn) ** 2, axis=-1)
 
 
@@ -412,6 +458,15 @@ def train_stack(
     state = AdamState()
 
     n = ds_train.n_rows
+    bs = config.batch_size
+
+    def workspaces(m: int) -> dict[int, Workspace]:
+        # One per batch shape of an m-model stack: the full and the last
+        # batch, and the two SSE passes. Rebuilt only when the stack shrinks.
+        rows = {min(bs, n), (n - 1) % bs + 1, n, ds_valid.n_rows}
+        return {r: Workspace(arch, (m, r)) for r in rows}
+
+    spaces = workspaces(len(seeds))
     live = np.arange(len(seeds))  # the model behind each stack row
     histories: list[list[tuple[float, float]]] = [[] for _ in seeds]
     best_valid = np.full(len(seeds), np.inf)
@@ -424,14 +479,15 @@ def train_stack(
 
     for epoch in range(config.max_epochs):
         order = np.stack([np.random.default_rng([seeds[i], epoch]).permutation(n) for i in live])
-        for start in range(0, n, config.batch_size):
-            idx = order[:, start : start + config.batch_size]
-            loss, grads = loss_and_gradients(stack, (xtr[idx], ytr[idx], ttr[idx]), config.ste_clip)
+        xo, yo, to = xtr[order], ytr[order], ttr[order]
+        for start in range(0, n, bs):
+            batch = (xo[:, start : start + bs], yo[:, start : start + bs], to[:, start : start + bs])
+            loss, grads = loss_and_gradients(stack, batch, config.ste_clip, spaces[batch[2].shape[-1]])
             check_finite("loss", epoch, np.isfinite(loss))
             adam_step(stack.flat, grads, state, config)
 
-        train_sse = _sse_arrays(stack, xtr, ytr, ttr)
-        valid_sse = _sse_arrays(stack, xva, yva, tva)
+        train_sse = _sse_arrays(stack, xtr, ytr, ttr, spaces[n])
+        valid_sse = _sse_arrays(stack, xva, yva, tva, spaces[ds_valid.n_rows])
         check_finite("SSE", epoch, np.isfinite(train_sse) & np.isfinite(valid_sse))
         for i, tr_sse, va_sse in zip(live, train_sse.tolist(), valid_sse.tolist()):
             histories[i].append((tr_sse, va_sse))
@@ -447,6 +503,7 @@ def train_stack(
             live = live[keep]
             stack = TriBranchNetwork(arch, stack.flat[keep])
             state.m, state.v = state.m[keep], state.v[keep]
+            spaces = workspaces(len(live))
 
     for net, snapshot, history, valid in zip(nets, best_snapshot, histories, best_valid.tolist()):
         net.flat[...] = snapshot

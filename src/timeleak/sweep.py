@@ -123,14 +123,18 @@ class SweepResult:
         return cls(records=records, k_star=k_star, tau=tau, verdict=verdict)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < 1:
+        raise SweepError(f"tau must be in (0, 1), got {tau}")
+
+
 def select_k(sse_by_k: Sequence[float], tau: float = DEFAULT_TAU) -> int:
     """Smallest k whose SSE no later width improves by a relative tau or more.
 
     The curve is indexed by k starting at 0. Improvements are measured against
     every larger k, not just the successor, to resist noisy plateaus.
     """
-    if not 0 < tau < 1:
-        raise SweepError(f"tau must be in (0, 1), got {tau}")
+    _check_tau(tau)
     curve = [float(s) for s in sse_by_k]
     if not curve:
         raise SweepError("empty SSE curve")
@@ -182,6 +186,7 @@ def sweep_k(
         raise SweepError("k_max must be >= 1")
     if seeds_per_k < 1:
         raise SweepError("seeds_per_k must be >= 1")
+    _check_tau(tau)
     trainval, test = split(ds, test_fraction, config.seed)
     train_ds, valid_ds = split(trainval, test_fraction, config.seed + 1)
 

@@ -133,7 +133,7 @@ class TestTally:
         reducer = straddling_reducer(rng, domains)
         seen = []
         evaluate = C.ReducerNet.valuations
-        monkeypatch.setattr(C.ReducerNet, "valuations", lambda self, x: seen.append(len(x)) or evaluate(self, x))
+        monkeypatch.setattr(C.ReducerNet, "valuations", lambda self, x, bufs=None: seen.append(len(x)) or evaluate(self, x, bufs))
         los = np.array([[-5, 0, -20], [0, 1, 3], [1, 0, -2]])
         his = np.array([[5, 1, 20], [0, 1, 9], [4, 1, 3]])
         tally = C._tally(reducer, los, his, block=30)

@@ -556,3 +556,35 @@ class TestLockstep:
         with pytest.raises(N.NonFiniteLoss, match="epoch 2") as info:
             N.train_stack(tr, va, N.Architecture(2, 7, 1, (5,), (5,), (10,)), config, [5, 6, 7])
         assert info.value.epoch == 2 and info.value.seed == 6
+
+
+# ---------------------------------------------------------------------------
+# Workspaces: training reuses its evaluation arrays from pass to pass.
+# ---------------------------------------------------------------------------
+
+
+class TestWorkspace:
+    def test_reused_workspaces_equal_fresh_allocation(self, monkeypatch):
+        # Every SSE pass of the training loop runs in a workspace that earlier
+        # epochs (other weights) wrote, and the workspaces are rebuilt when
+        # the stack shrinks. Each pass must equal one in new arrays.
+        ds = D.gen_rn_preset("R_2", rows=200, noise_std=0.02, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=5)
+        real_sse = N._sse_arrays
+        bits_seen: dict[tuple[int, int], set[bytes]] = {}
+
+        def checked_sse(net, xn, yn, tn, ws):
+            t_reused, bits_reused = (a.copy() for a in N.predict_batch(net, xn, yn, ws))
+            t_fresh, bits_fresh = N.predict_batch(net, xn, yn)
+            assert np.array_equal(t_reused, t_fresh) and np.array_equal(bits_reused, bits_fresh)
+            sse = real_sse(net, xn, yn, tn, ws)
+            assert np.array_equal(sse, real_sse(net, xn, yn, tn))
+            bits_seen.setdefault(bits_fresh.shape[:2], set()).add(bits_fresh.tobytes())
+            return sse
+
+        monkeypatch.setattr(N, "_sse_arrays", checked_sse)
+        N.train_stack(tr, va, N.Architecture(2, 7, 2, (5,), (5,), (10,)), config, [1, 2, 3])
+        stack_sizes = {models for models, _ in bits_seen}
+        assert len(stack_sizes) > 1  # the stack shrank
+        assert any(len(states) > 1 for states in bits_seen.values())  # the bits moved between passes

@@ -141,6 +141,16 @@ class TestSweepK:
         with pytest.raises(S.SweepError):
             S.sweep_k(public_only_ds, arch, k_max=1, config=quick_config(), seeds_per_k=0)
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5])
+    def test_bad_tau_rejected_before_training(self, public_only_ds, monkeypatch, tau):
+        def train_stack(*args):
+            raise AssertionError("trained before tau was checked")
+
+        monkeypatch.setattr(S, "train_stack", train_stack)
+        arch = N.Architecture(4, 5, 0, (6,), (6,), (12,))
+        with pytest.raises(S.SweepError, match="tau must be in"):
+            S.sweep_k(public_only_ds, arch, k_max=1, config=quick_config(), tau=tau)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model overflows
     def test_divergence_names_k_and_seed(self, public_only_ds, monkeypatch):
         cfg = quick_config(max_epochs=5, seed=3)
