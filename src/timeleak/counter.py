@@ -7,32 +7,48 @@ map there: by exhaustive evaluation (the oracle) or by branch-and-bound with
 interval bound propagation (the scalable path), which works on a block of
 boxes per numpy call. Both share cap semantics and one enumeration kernel: a
 class's count freezes at the cap once reached.
+
+Counts are those of exact arithmetic: a point's valuation is the sign
+pattern of its interface pre-activations computed in rationals from the
+raw integer point (every float64 weight is a rational), with `>= 0` as the
+threshold. The counter computes in float64 and knows how far float can be
+off: `ReducerNet.tie_tolerance`, `TIE_RTOL` times the magnitude of the
+terms summed into each pre-activation. Bounds fix a bit only beyond it, and
+the enumeration kernel `_tally` decides the points inside it again in
+`fractions.Fraction`, so no count depends on batching or summation order.
+`_tally` lists the points of a box as rows times a grid and builds the
+first layer from a row table and a grid table, running the other layers on
+(units, points) matrices. The float evaluator `network.secret_branch`
+remains the one evaluator of training and prediction, and the
+`extract_reducer` self-check compares float with float.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Binary, Domain, FeatureSchema
-from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch, stack_buffers
+from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch
 
 BRUTE_FORCE_LIMIT = 2**20
 DEFAULT_NODE_BUDGET = 10**8
 
-# Interval bit decisions keep this safety margin above zero so that float
-# rounding in the plain forward pass can never disagree with them; boxes whose
-# pre-activations land inside the margin are split down to exact evaluation.
-DECISION_MARGIN = 1e-9
+# A float interface pre-activation of the counter lies within TIE_RTOL times
+# the magnitude of the terms summed into it (`ReducerNet.tie_tolerance`) of
+# its exact value, and equals it when that magnitude is 0. Bounds decide a
+# bit only beyond that band; points inside it are decided again exactly.
+TIE_RTOL = 1e-9
 
 # Boxes at most this large are enumerated exactly instead of split further.
 LEAF_ENUM_LIMIT = 256
 
-# Points evaluated per `ReducerNet.valuations` call when boxes are enumerated.
-ENUM_BLOCK = 1024
+# Points the table kernel evaluates per step when boxes are enumerated.
+ENUM_BLOCK = 4096
 
 # Boxes the branch-and-bound takes off its stack and bounds together.
 FRONTIER_BLOCK = 256
@@ -112,39 +128,62 @@ class ReducerNet:
     def n_features(self) -> int:
         return self.input_shift.shape[0]
 
-    def preactivations(self, x_raw: np.ndarray, bufs: EvalBuffers | None = None) -> np.ndarray:
-        """Interface pre-activations of (rows, d) raw secrets, written into
-        the first rows of `bufs` (new buffers when none are given)."""
-        x = np.asarray(x_raw, dtype=np.float64)
-        n = len(x)
-        if bufs is None:
-            bufs = EvalBuffers(self, n)
-        xn = np.subtract(x, self.input_shift, out=bufs.xn[:n])
-        xn /= self.input_denom
-        hidden = [(z[:n], h[:n]) for z, h in bufs.hidden]
-        return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn, hidden, bufs.preact[:n])[-1]
+    @property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The hidden layers, then the interface layer."""
+        return (*self.hidden, (self.iface_w, self.iface_b))
 
-    def bits(self, x_raw: np.ndarray, bufs: EvalBuffers | None = None) -> np.ndarray:
-        return interface_bits(self.preactivations(x_raw, bufs)).astype(np.int64)
+    def preactivations(self, x_raw: np.ndarray) -> np.ndarray:
+        """Float interface pre-activations of (rows, d) raw secrets, by the
+        evaluator that training and prediction use."""
+        xn = (np.asarray(x_raw, dtype=np.float64) - self.input_shift) / self.input_denom
+        return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn)[-1]
 
-    def valuations(self, x_raw: np.ndarray, bufs: EvalBuffers | None = None) -> np.ndarray:
-        """Interface valuations as integers; the first interface bit is the MSB."""
-        pow2 = 1 << np.arange(self.k - 1, -1, -1)
-        return self.bits(x_raw, bufs) @ pow2
+    def bits(self, x_raw: np.ndarray) -> np.ndarray:
+        return interface_bits(self.preactivations(x_raw)).astype(np.int64)
+
+    @property
+    def tie_tolerance(self) -> np.ndarray:
+        """`TIE_RTOL` times M_j, a bound on the magnitude of every term summed
+        into interface pre-activation j anywhere in the domain: M starts as
+        max |normalized input| per feature and passes each layer as
+        |W| M + |b|."""
+        m = np.array([max(abs(d.lo - s), abs(d.hi - s)) for d, s in zip(self.domains, self.input_shift.tolist())])
+        m /= np.abs(self.input_denom)
+        for w, b in self.layers:
+            m = np.abs(w) @ m + np.abs(b)
+        return TIE_RTOL * m
+
+    def exact_valuations(self, points) -> list[int]:
+        """Interface valuations of raw integer points in exact rational
+        arithmetic: every float64 weight is a rational, so the threshold
+        `>= 0` is decided without rounding."""
+        from fractions import Fraction
+
+        shift = [Fraction(s) for s in self.input_shift.tolist()]
+        denom = [Fraction(s) for s in self.input_denom.tolist()]
+        layers = [([[Fraction(v) for v in row] for row in w.tolist()], [Fraction(v) for v in b.tolist()]) for w, b in self.layers]
+        out = []
+        for point in points:
+            h = [(int(x) - s) / q for x, s, q in zip(point, shift, denom)]
+            for i, (w, b) in enumerate(layers):
+                if i:
+                    h = [max(v, 0) for v in h]
+                h = [sum(map(operator.mul, row, h), bias) for row, bias in zip(w, b)]
+            out.append(sum(int(v >= 0) << (len(h) - 1 - j) for j, v in enumerate(h)))
+        return out
 
 
 class EvalBuffers:
-    """The arrays an evaluation of up to `rows` points writes: the points,
-    their normalized form, each hidden layer's pre-activation and output and
-    the interface pre-activations. An evaluation of n points overwrites the
-    first n rows of each before it reads them, so the buffers carry nothing
-    from one evaluation to the next."""
+    """What the table kernel keeps for one reducer across its calls: the
+    reducer's tie tolerance and the arrays a step of up to `rows` points
+    writes, one flat array per layer (hidden layers, then the interface) of
+    its width times `rows`. A step overwrites the part it reads, so the
+    arrays carry nothing from one step to the next."""
 
     def __init__(self, reducer: ReducerNet, rows: int):
-        self.points = np.empty((rows, reducer.n_features))
-        self.xn = np.empty_like(self.points)
-        self.hidden = stack_buffers((rows,), tuple(b.shape[0] for _, b in reducer.hidden))
-        self.preact = np.empty((rows, reducer.k))
+        self.tol = reducer.tie_tolerance
+        self.layers = [np.empty(len(b) * rows) for _, b in reducer.layers]
 
 
 def valuation_label(v: int, k: int) -> str:
@@ -315,30 +354,41 @@ def _offsets(shape: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuffers | None = None) -> np.ndarray:
     """Count per valuation over every integer point of the boxes [los[i], his[i]].
 
-    `los` and `his` are (N, d) matrices, or one box as two vectors. Boxes of
-    one shape share one grid of point offsets (`lo[:, None, :] + grid`). The
-    grid spans the trailing features of the shape, at most `block` points of
-    them; the leading features, if any are left, are listed by index as rows
-    of the grid. At most `block` points go to each `ReducerNet.valuations`
-    call, evaluated in `bufs` (of at least `block` rows; new ones when none
-    are given).
+    `los` and `his` are (N, d) matrices, or one box as two vectors. The
+    points of one box shape are rows (the leading features, listed by
+    index) times a grid (the longest run of trailing features with at most
+    `block` points). The first layer is affine, so its pre-activation at
+    row point r plus grid offset g is the sum of two tables:
+    R[:, r] = W1 (r - shift) / denom + b1, built per step, and
+    G[:, g] = W1 g / denom, built once per shape. The other layers run on
+    (units, points) matrices of at most `block` points per step, written
+    into `bufs` (new buffers when none are given). A pre-activation within
+    the reducer's `tie_tolerance` of zero may have the wrong sign in float,
+    so the valuations of those points are decided again in exact arithmetic;
+    the counts are those of exact arithmetic, whatever the blocks.
     """
     los = np.atleast_2d(np.asarray(los, dtype=np.int64))
     sizes = np.atleast_2d(np.asarray(his, dtype=np.int64)) - los + 1
     d = los.shape[1]
+    (w1, b1), *rest = reducer.layers
+    shift, denom = reducer.input_shift, reducer.input_denom
+    pow2 = 2.0 ** np.arange(reducer.k - 1, -1, -1)
     tally = np.zeros(2**reducer.k, dtype=np.int64)
     if bufs is None:
         bufs = EvalBuffers(reducer, block)
-    shapes, group = np.unique(sizes, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    for s, shape in enumerate(shapes):
-        box_lo = los[group == s].astype(np.float64)
-        # The grid takes the longest run of trailing features with <= block points.
+    tol = bufs.tol
+    # Boxes sorted by shape, so each shape is one run of rows.
+    order = np.lexsort(sizes.T)
+    los, sizes = los[order], sizes[order]
+    starts = np.flatnonzero(np.r_[True, (sizes[1:] != sizes[:-1]).any(axis=1), True])
+    for first, end in zip(starts[:-1], starts[1:]):
+        box_lo, shape = los[first:end], sizes[first]
         n_grid = int(np.searchsorted(np.cumprod(shape[::-1]), block, side="right"))
         grid_shape, row_shape = shape.copy(), shape.copy()
         grid_shape[: d - n_grid] = 1
         row_shape[d - n_grid :] = 1
         grid = _offsets(grid_shape, np.arange(math.prod(grid_shape.tolist())))
+        g_table = w1 @ (grid / denom).T
         rows_per_box = math.prod(row_shape.tolist())
         n_rows = len(box_lo) * rows_per_box
         step = max(1, block // len(grid))
@@ -347,9 +397,21 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuf
             row_lo = box_lo[r // rows_per_box]
             if rows_per_box > 1:
                 row_lo += _offsets(row_shape, r % rows_per_box)
-            points = bufs.points[: len(r) * len(grid)]
-            np.add(row_lo[:, None, :], grid, out=points.reshape(len(r), len(grid), d))
-            tally += np.bincount(reducer.valuations(points, bufs), minlength=tally.size)
+            n = len(r) * len(grid)
+            h = bufs.layers[0][: len(b1) * n].reshape(len(b1), len(r), len(grid))
+            np.add((w1 @ ((row_lo - shift) / denom).T + b1[:, None])[:, :, None], g_table[:, None, :], out=h)
+            h = h.reshape(len(b1), n)
+            for (w, b), buf in zip(rest, bufs.layers[1:]):
+                np.maximum(h, 0.0, out=h)
+                h = np.matmul(w, h, out=buf[: len(b) * n].reshape(len(b), n))
+                h += b[:, None]
+            vals = (pow2 @ interface_bits(h)).astype(np.intp)
+            # Ties are rare: each bit's smallest |pre-activation| rules them out first.
+            np.abs(h, out=h)
+            if (h.min(axis=1) < tol).any():
+                ties = np.flatnonzero((h < tol[:, None]).any(axis=0))
+                vals[ties] = reducer.exact_valuations(row_lo[ties // len(grid)] + grid[ties % len(grid)])
+            tally += np.bincount(vals, minlength=tally.size)
     return tally
 
 
@@ -386,22 +448,6 @@ def _propagate(split, shift, denom, lo: np.ndarray, hi: np.ndarray):
         lb = np.maximum(nlb, 0.0)
         ub = np.maximum(nub, 0.0)
     return lb @ iw_p.T + ub @ iw_n.T + ib, ub @ iw_p.T + lb @ iw_n.T + ib
-
-
-def propagate_bounds(reducer: ReducerNet, box) -> tuple[np.ndarray, np.ndarray]:
-    """Sound interval bounds on the interface pre-activations over a raw-space box.
-
-    `box` is a sequence of per-feature (lo, hi) pairs. Every reachable
-    pre-activation for inputs inside the box lies within the returned
-    (lower, upper) vectors.
-    """
-    box = np.asarray(box, dtype=np.float64)
-    if box.ndim != 2 or box.shape != (reducer.n_features, 2):
-        raise CounterError(f"box must be ({reducer.n_features}, 2) lo/hi pairs")
-    lo, hi = box[:, 0], box[:, 1]
-    if np.any(lo > hi):
-        raise CounterError("box has lo > hi")
-    return _propagate(_split_weights(reducer), reducer.input_shift, reducer.input_denom, lo, hi)
 
 
 def _all_capped(capped: np.ndarray, base: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -444,7 +490,8 @@ def bnb_census(
     Search over sub-boxes of the domain, depth-first at the granularity of
     blocks of up to `FRONTIER_BLOCK` boxes, and never more than the boxes
     resolved so far, each block bounded by one interval propagation.
-    Interval bounds fix interface bits over a box; fully determined boxes
+    Interval bounds fix an interface bit over a box where they clear the
+    reducer's tie tolerance (see `TIE_RTOL`); fully determined boxes
     are counted in closed form, boxes that can only feed already-capped
     classes are pruned, small boxes are enumerated exactly, and the rest
     split: binary features before integer features, integer features
@@ -470,6 +517,7 @@ def bnb_census(
     binary = np.asarray([isinstance(d, Binary) for d in reducer.domains])
     outcomes = np.zeros(4, dtype=np.int64)
     bufs = EvalBuffers(reducer, ENUM_BLOCK)
+    tol = bufs.tol
 
     def add(amounts: np.ndarray) -> None:
         # Float sizes and sums are exact below 2^53, and one that passes 2^53
@@ -496,8 +544,8 @@ def bnb_census(
         nodes += len(los)
 
         lb, ub = _propagate(split, shift, denom, los.astype(np.float64), his.astype(np.float64))
-        det_one = lb >= DECISION_MARGIN
-        free = ~(det_one | (ub < -DECISION_MARGIN))
+        det_one = lb >= tol
+        free = ~(det_one | (ub < -tol))
         base = det_one @ pow2
         with np.errstate(over="ignore"):
             sizes = np.prod(his - los + 1, axis=1, dtype=np.float64)

@@ -237,7 +237,8 @@ def secret_branch(layers: list[Layer], iface: Layer, xn: np.ndarray, bufs=None, 
     """The secret stack and the interface layer on normalized secrets: the
     stack's (ins, zs, out) and the interface pre-activations, written into
     `bufs` and `out` when given. Training, prediction and the counter's
-    `ReducerNet` all evaluate the branch here."""
+    extraction self-check evaluate the branch here; the census counts with
+    its own table kernel, in exact arithmetic at the threshold."""
     ins, zs, h = _relu_stack(layers, xn, bufs)
     return ins, zs, h, _affine(h, *iface, out=out)
 
@@ -606,8 +607,14 @@ def from_json(obj: dict) -> TriBranchNetwork:
     if not np.isfinite(flat).all():
         raise ModelFormatError("model weights are not all finite")
     normalizer = normalizer_from_json(obj["normalizer"]) if obj.get("normalizer") else None
-    if normalizer is not None and not all(np.isfinite(v).all() for v in vars(normalizer).values()):
-        raise ModelFormatError("model normalizer values are not all finite")
+    if normalizer is not None:
+        if not all(np.isfinite(v).all() for v in vars(normalizer).values()):
+            raise ModelFormatError("model normalizer values are not all finite")
+        for name in ("secret_shift", "secret_denom"):
+            if getattr(normalizer, name).shape != (arch.n_secret,):
+                raise ModelFormatError(f"model normalizer {name} must hold {arch.n_secret} values, one per secret feature")
+        if not (normalizer.secret_denom > 0).all():
+            raise ModelFormatError("model normalizer secret_denom values must all be > 0")
     return TriBranchNetwork(
         arch,
         flat,

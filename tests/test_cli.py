@@ -274,6 +274,38 @@ class TestErrorPaths:
         assert err == "error: model weights are not all finite\n"
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("secret_denom", "zeros", "secret_denom values must all be > 0"),
+            ("secret_denom", "negated", "secret_denom values must all be > 0"),
+            ("secret_denom", "short", "secret_denom must hold"),
+            ("secret_shift", "short", "secret_shift must hold"),
+            ("secret_shift", "long", "secret_shift must hold"),
+            ("secret_shift", "scalar", "secret_shift must hold"),
+        ],
+    )
+    def test_malformed_normalizer_analyze_exits_4(self, artifacts, tmp_path, capsys, field, value, message):
+        # An all-zero denominator used to exit 0 with a one-class census
+        # that `report` reads as no leak.
+        _, sweep_dir, _, _ = artifacts
+        model = json.loads((sweep_dir / "models/k1.json").read_text())
+        values = model["normalizer"][field]
+        model["normalizer"][field] = {
+            "zeros": [0.0] * len(values),
+            "negated": [-v for v in values],
+            "short": values[:-1],
+            "long": values + [1.0],
+            "scalar": 1.0,
+        }[value]
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(model))
+        rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "c.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model normalizer {message}") and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
     def test_missing_census_report(self, tmp_path):
         rc = main(
             ["report", "--census", str(tmp_path / "no.json"), "--sweep", str(tmp_path / "no2.json"), "--out", str(tmp_path / "r.json")]

@@ -1,5 +1,8 @@
 import itertools
+import math
+import operator
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +44,74 @@ def straddling_reducer(rng, domains, hidden=8, k=3):
     )
     reducer.iface_b[...] = -reducer.preactivations(rng.uniform(lo, hi)[None, :])[0]
     return reducer
+
+
+def box_points(los, his):
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))))
+
+
+def exact_counts(reducer, points) -> list[int]:
+    """Oracle: class counts of raw integer points in exact arithmetic,
+    threshold `>= 0`. Every float64 is an integer over a power of two, and
+    the input map (x - shift) / denom is rational, so each layer runs on
+    integer numerators over one positive common denominator, whose sign
+    tests need no division."""
+
+    def numerators(values):
+        ratios = [Fraction(v) for v in values]
+        den = math.lcm(*(r.denominator for r in ratios))
+        return [r.numerator * (den // r.denominator) for r in ratios], den
+
+    # x_n = (x - s) / q = (a x - c) / den for every feature, q > 0.
+    maps = [(Fraction(s), Fraction(q)) for s, q in zip(reducer.input_shift.tolist(), reducer.input_denom.tolist())]
+    den = math.lcm(*(f.denominator for s, q in maps for f in (1 / q, s / q)))
+    a_c = [(int(den / q), int(s * den / q)) for s, q in maps]
+    layers = []
+    for w, b in (*reducer.hidden, (reducer.iface_w, reducer.iface_b)):
+        w_num, w_den = numerators(w.ravel().tolist())
+        b_num, b_den = numerators(b.tolist())
+        layers.append(([w_num[i : i + w.shape[1]] for i in range(0, w.size, w.shape[1])], w_den, b_num, b_den))
+    counts = [0] * 2**reducer.k
+    for point in points:
+        h, h_den = [a * x - c for (a, c), x in zip(a_c, point)], den
+        for i, (w, w_den, b, b_den) in enumerate(layers):
+            if i:
+                h = [max(v, 0) for v in h]
+            h = [sum(map(operator.mul, row, h)) * b_den + bias * w_den * h_den for row, bias in zip(w, b)]
+            h_den *= w_den * b_den
+        counts[int("".join("1" if v >= 0 else "0" for v in h), 2)] += 1
+    return counts
+
+
+def bounds(reducer, los, his):
+    """Interval bounds on the interface pre-activations over one raw box,
+    propagated as a block of one box, as `bnb_census` takes its root."""
+    lo, hi = (np.asarray([v], dtype=np.float64) for v in (los, his))
+    lb, ub = C._propagate(C._split_weights(reducer), reducer.input_shift, reducer.input_denom, lo, hi)
+    return lb[0], ub[0]
+
+
+def near_tie_reducer(rng, domains, hidden, k, scale=1.0, shift=None, denom=None):
+    """Random one-hidden-layer reducer whose interface biases are minus the
+    pre-activations of one domain point, evaluated in a batch with every
+    other point of a random sample: that point sits on the threshold to
+    within float rounding, on either side."""
+    n = len(domains)
+    reducer = C.ReducerNet(
+        input_shift=np.zeros(n) if shift is None else np.asarray(shift, dtype=np.float64),
+        input_denom=np.ones(n) if denom is None else np.asarray(denom, dtype=np.float64),
+        hidden=((scale * rng.normal(size=(hidden, n)), scale * rng.normal(size=hidden)),),
+        iface_w=scale * rng.normal(size=(k, hidden)),
+        iface_b=np.zeros(k),
+        domains=tuple(domains),
+    )
+    sample = np.stack([rng.integers(d.lo, d.hi + 1, size=64) for d in domains], axis=1).astype(np.float64)
+    reducer.iface_b[...] = -reducer.preactivations(sample)[int(rng.integers(64))]
+    return reducer
+
+
+def domain_of(reducer) -> C.SecretDomain:
+    return C.SecretDomain(los=tuple(d.lo for d in reducer.domains), his=tuple(d.hi for d in reducer.domains))
 
 
 @pytest.fixture
@@ -97,10 +168,9 @@ class TestTally:
         domains = (D.IntRange(-5, 5), D.Binary(), D.Binary(), D.IntRange(-3, 3))
         reducer = straddling_reducer(rng, domains)
         los, his = (-4, 1, 0, -3), (3, 1, 1, 2)
-        points = np.array(list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))), dtype=np.float64)
-        expected = np.bincount(reducer.valuations(points), minlength=8)
+        expected = exact_counts(reducer, box_points(los, his))
         tally = C._tally(reducer, los, his, block=7)
-        assert tally.tolist() == expected.tolist()
+        assert tally.tolist() == expected
         assert np.count_nonzero(tally) > 1
         assert tally.sum() == 8 * 1 * 2 * 6
 
@@ -119,26 +189,108 @@ class TestTally:
             ((-5, 0, 0, -6), (5, 1, 1, 6)),
             ((4, 1, 0, 5), (5, 1, 1, 6)),
         ]
-        expected = np.zeros(8, dtype=np.int64)
-        for los, his in boxes:
-            points = np.array(list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))), dtype=np.float64)
-            expected += np.bincount(reducer.valuations(points), minlength=8)
+        expected = exact_counts(reducer, [p for los, his in boxes for p in box_points(los, his)])
         los, his = (np.array([box[i] for box in boxes]) for i in (0, 1))
         for block in (1, 7, 64, C.ENUM_BLOCK):
-            assert C._tally(reducer, los, his, block=block).tolist() == expected.tolist()
+            assert C._tally(reducer, los, his, block=block).tolist() == expected
         assert np.count_nonzero(expected) > 1
 
-    def test_points_per_evaluation_are_bounded(self, rng, monkeypatch):
-        domains = (D.IntRange(-5, 5), D.Binary(), D.IntRange(-20, 20))
-        reducer = straddling_reducer(rng, domains)
-        seen = []
-        evaluate = C.ReducerNet.valuations
-        monkeypatch.setattr(C.ReducerNet, "valuations", lambda self, x, bufs=None: seen.append(len(x)) or evaluate(self, x, bufs))
-        los = np.array([[-5, 0, -20], [0, 1, 3], [1, 0, -2]])
-        his = np.array([[5, 1, 20], [0, 1, 9], [4, 1, 3]])
-        tally = C._tally(reducer, los, his, block=30)
-        assert tally.sum() == 11 * 2 * 41 + 7 + 4 * 2 * 6
-        assert max(seen) <= 30 and sum(seen) == tally.sum()
+    def test_points_per_evaluation_are_bounded(self, rng):
+        # A step writes at most `block` points into buffers of `block` rows
+        # (a larger step could not be reshaped into them), and what else the
+        # kernel allocates does not grow with the boxes: ten times the
+        # points, 82,082 of them, whose (points, d) matrix alone would take
+        # about 2 MB, leave the peak where it was, a few kilobytes.
+        import tracemalloc
+
+        def peak(lo):
+            domains = (D.IntRange(-lo, lo), D.Binary(), D.IntRange(-20, 20))
+            reducer = straddling_reducer(rng, domains)
+            los = np.array([[-lo, 0, -20], [0, 1, 3], [1, 0, -2]])
+            his = np.array([[lo, 1, 20], [0, 1, 9], [4, 1, 3]])
+            bufs = C.EvalBuffers(reducer, 64)
+            assert [len(buf) for buf in bufs.layers] == [8 * 64, 3 * 64]
+            C._tally(reducer, los[:1], his[:1], block=64, bufs=bufs)  # first-call caches
+            tracemalloc.start()
+            try:
+                tally = C._tally(reducer, los, his, block=64, bufs=bufs)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert tally.sum() == (2 * lo + 1) * 2 * 41 + 7 + 4 * 2 * 6
+            return top
+
+        small, large = peak(100), peak(1000)
+        assert large < 1.25 * small and large < 65_536
+
+    def test_tie_tolerance_scales_with_the_terms(self, rng):
+        # M_j = tie_tolerance / TIE_RTOL bounds |pre-activation j| on every
+        # point of the domain, and scales with the interface layer.
+        domains = (D.IntRange(-30, 30), D.Binary(), D.IntRange(0, 9))
+        reducer = straddling_reducer(rng, domains, hidden=12, k=4)
+        pre = reducer.preactivations(np.array(box_points((-30, 0, 0), (30, 1, 9)), dtype=np.float64))
+        m = reducer.tie_tolerance / C.TIE_RTOL
+        assert np.all(m > 0) and np.all(np.abs(pre) <= m)
+        scaled = replace(reducer, iface_w=1e6 * reducer.iface_w, iface_b=1e6 * reducer.iface_b)
+        assert np.allclose(scaled.tie_tolerance, 1e6 * reducer.tie_tolerance)
+
+
+class TestNearTies:
+    """Points whose interface pre-activation is zero to within float
+    rounding: both counters must agree with exact arithmetic at every leaf
+    size, whatever batch a point is evaluated in."""
+
+    def check(self, reducer):
+        dom = domain_of(reducer)
+        oracle = C.census_from_sizes(exact_counts(reducer, box_points(dom.los, dom.his)), dom.size, reducer.k)
+        assert C.brute_force_census(reducer, dom, cap=dom.size) == oracle
+        for leaf_limit in (1, 16, 256, dom.size):
+            assert C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=leaf_limit) == oracle
+
+    def test_random_near_tie_reducers(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            self.check(near_tie_reducer(rng, (D.Binary(),) * 6, hidden=int(rng.integers(3, 17)), k=1))
+
+    def test_large_integer_domain(self):
+        # Raw inputs up to 10^4 in magnitude, unnormalized.
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            self.check(near_tie_reducer(rng, (D.IntRange(-10000, 10000),), hidden=4, k=2))
+
+    def test_large_weights(self):
+        # Weights up to about 10^6 on inputs up to 10^4: pre-activations up
+        # to about 10^15, whose float rounding is far above any fixed
+        # absolute margin.
+        rng = np.random.default_rng(13)
+        domains = (D.IntRange(-50, 50), D.Binary(), D.Binary(), D.Binary())
+        for _ in range(10):
+            reducer = near_tie_reducer(rng, domains, hidden=6, k=2, scale=3e5, shift=(-50, 0, 0, 0), denom=(0.01, 1, 1, 1))
+            assert np.abs(reducer.iface_w).max() < 2e6
+            self.check(reducer)
+
+    def test_bounds_decide_only_beyond_the_tolerance(self):
+        # pre = (w0 x0 - w1 x1) / 7 + b at x = (71, 71): two terms near 10^10
+        # that nearly cancel, so the float bound of the point is off by far
+        # more than 1e-9. The bias puts the float bound 1e-8 from zero on the
+        # other side of it from the exact value, where an absolute 1e-9
+        # margin would decide the bit wrongly.
+        def reducer(bias):
+            hand = hand_reducer([[1e9 + 0.123, -1e9]], [bias], (D.IntRange(0, 100),) * 2)
+            return replace(hand, input_denom=np.full(2, 7.0))
+
+        x = (71, 71)
+        pre0 = bounds(reducer(0.0), x, x)[0][0]
+        exact0 = (Fraction(1e9 + 0.123) - Fraction(1e9)) * Fraction(71, 7)
+        error = float(exact0 - Fraction(pre0))
+        assert abs(error) > 2e-8
+        tied = reducer(-(pre0 + np.copysign(1e-8, error)))
+        lb, ub = bounds(tied, x, x)
+        exact = exact_counts(tied, [x])
+        assert lb[0] == ub[0] and abs(lb[0]) > 1e-9 and (lb[0] >= 0) != (exact == [0, 1])
+        assert abs(lb[0]) < tied.tie_tolerance[0]
+        dom = C.SecretDomain(x, x)
+        assert C.bnb_census(tied, dom, cap=1).counts == C.brute_force_census(tied, dom, cap=1).counts == tuple(exact)
 
 
 class TestBruteForce:
@@ -170,18 +322,18 @@ class TestBruteForce:
 
 class TestPropagateBounds:
     def test_affine_over_unit_box(self, and_gate_reducer):
-        lb, ub = C.propagate_bounds(and_gate_reducer, [(0, 1), (0, 1)])
+        lb, ub = bounds(and_gate_reducer, (0, 0), (1, 1))
         assert lb[0] == pytest.approx(-1.5) and ub[0] == pytest.approx(0.5)
 
     def test_point_box_is_exact(self, and_gate_reducer):
-        lb, ub = C.propagate_bounds(and_gate_reducer, [(1, 1), (1, 1)])
+        lb, ub = bounds(and_gate_reducer, (1, 1), (1, 1))
         assert lb[0] == ub[0] == pytest.approx(0.5)
 
     def test_relu_clamps_lower_bound(self):
         # Hidden unit spans [-2, 3]; after ReLU the interface sees [0, 3].
         hidden = ((np.array([[1.0]]), np.array([-2.0])),)
         reducer = hand_reducer([[1.0]], [0.0], (D.IntRange(0, 5),), hidden=hidden)
-        lb, ub = C.propagate_bounds(reducer, [(0, 5)])
+        lb, ub = bounds(reducer, (0,), (5,))
         assert lb[0] == pytest.approx(0.0) and ub[0] == pytest.approx(3.0)
 
     def test_soundness_random_sampling(self, rng):
@@ -190,7 +342,7 @@ class TestPropagateBounds:
             reducer = C.extract_reducer(net, self_check_points=0)
             lo = rng.integers(0, 2, size=4)
             hi = np.maximum(lo, rng.integers(0, 2, size=4))
-            lb, ub = C.propagate_bounds(reducer, list(zip(lo, hi)))
+            lb, ub = bounds(reducer, lo, hi)
             for _ in range(50):
                 x = rng.integers(lo, hi + 1).astype(np.float64)[None, :]
                 pre = reducer.preactivations(x)[0]
@@ -199,8 +351,8 @@ class TestPropagateBounds:
     def test_shrinking_box_never_widens(self, rng):
         net = random_reducer_net(rng, n_secret=3, k=2, hidden=(5,))
         reducer = C.extract_reducer(net, self_check_points=0)
-        lb_wide, ub_wide = C.propagate_bounds(reducer, [(0, 1)] * 3)
-        lb_narrow, ub_narrow = C.propagate_bounds(reducer, [(0, 1), (1, 1), (0, 0)])
+        lb_wide, ub_wide = bounds(reducer, (0, 0, 0), (1, 1, 1))
+        lb_narrow, ub_narrow = bounds(reducer, (0, 1, 0), (1, 1, 0))
         assert np.all(lb_narrow >= lb_wide - 1e-12)
         assert np.all(ub_narrow <= ub_wide + 1e-12)
 
@@ -263,8 +415,9 @@ class TestBnb:
         w[16, 9] = 1.0
         reducer = hand_reducer(w, [-0.5] * 17, (D.Binary(),) * 10)
         dom = C.SecretDomain(los=(0,) * 10, his=(1,) * 10)
-        lb, ub = C.propagate_bounds(reducer, list(zip(dom.los, dom.his)))
-        assert np.sum((lb < C.DECISION_MARGIN) & (ub >= -C.DECISION_MARGIN)) == 17
+        lb, ub = bounds(reducer, dom.los, dom.his)
+        tol = reducer.tie_tolerance
+        assert np.sum((lb < tol) & (ub >= -tol)) == 17
         oracle = C.brute_force_census(reducer, dom, cap=1)
         assert oracle.feasible_count == 64
         for block in (C.FRONTIER_BLOCK, 3):
