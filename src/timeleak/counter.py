@@ -18,9 +18,10 @@ the enumeration kernel `_tally` decides the points inside it again in
 `fractions.Fraction`, so no count depends on batching or summation order.
 `_tally` lists the points of a box as rows times a grid and builds the
 first layer from a row table and a grid table, running the other layers on
-(units, points) matrices. The float evaluator `network.secret_branch`
-remains the one evaluator of training and prediction, and the
-`extract_reducer` self-check compares float with float.
+(units, points) matrices. The reducer's float evaluator
+`network.secret_branch` runs the same layer steps as training and
+prediction, and the `extract_reducer` self-check compares float with
+float.
 """
 
 from __future__ import annotations

@@ -191,12 +191,21 @@ def _domain_to_json(dom: Domain):
     return {"int": [dom.lo, dom.hi]}
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _domain_from_json(obj) -> Domain:
     if obj == "binary":
         return Binary()
     if isinstance(obj, dict) and "int" in obj:
-        lo, hi = obj["int"]
-        return IntRange(int(lo), int(hi))
+        bounds = obj["int"]
+        if not (
+            isinstance(bounds, list)
+            and len(bounds) == 2
+            and all(type(v) is int and INT64_MIN <= v <= INT64_MAX for v in bounds)
+        ):
+            raise DatasetError(f"int domain must be [lo, hi], two integers within int64, got {bounds!r}")
+        return IntRange(*bounds)
     raise DatasetError(f"unrecognized domain descriptor: {obj!r}")
 
 
@@ -208,8 +217,15 @@ def schema_to_json(schema: FeatureSchema) -> dict:
     }
 
 
+def _secret_feature_from_json(entry) -> tuple[str, Domain]:
+    try:
+        return entry["name"], _domain_from_json(entry["domain"])
+    except DatasetError as exc:
+        raise DatasetError(f"secret feature {entry['name']!r}: {exc}") from None
+
+
 def schema_from_json(obj: dict) -> FeatureSchema:
-    secret = tuple((e["name"], _domain_from_json(e["domain"])) for e in obj.get("secret", []))
+    secret = tuple(_secret_feature_from_json(e) for e in obj.get("secret", []))
     public = tuple(obj.get("public", []))
     return FeatureSchema(secret, public, obj.get("time_unit", "seconds"))
 

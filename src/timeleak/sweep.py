@@ -175,8 +175,12 @@ def sweep_k(
     test_fraction: float = 0.1,
 ) -> SweepResult:
     """Train `seeds_per_k` models per interface width, keep the best test-SSE
-    model per k, and pick k* by the elbow rule. The seeds of one width train
-    in lockstep as one stack (`network.train_stack`).
+    model per k, and pick k* by the elbow rule. Every model of the sweep, each
+    width and each seed, trains in lockstep as one stack
+    (`network.train_stack`), grouped by layer shape rather than padded to
+    k_max, so each model's bits are those it gets trained alone. When a
+    width diverges, the error names the smallest such k with its seed, as if
+    the widths had trained one after another in increasing k.
 
     One shuffle-split is shared by all widths: `test_fraction` held out for
     the records, and the same fraction carved from the remainder as the
@@ -187,27 +191,35 @@ def sweep_k(
     if seeds_per_k < 1:
         raise SweepError("seeds_per_k must be >= 1")
     _check_tau(tau)
+    archs = []
+    for k in range(k_max + 1):
+        try:
+            archs.append(replace(arch_template, k=k))
+        except Exception as exc:
+            raise SweepError(f"training failed at k={k}: {exc}") from exc
     trainval, test = split(ds, test_fraction, config.seed)
     train_ds, valid_ds = split(trainval, test_fraction, config.seed + 1)
 
+    seeds = [derive_seed(config.seed, k, i) for k in range(k_max + 1) for i in range(seeds_per_k)]
+    try:
+        trained = train_stack(train_ds, valid_ds, [a for a in archs for _ in range(seeds_per_k)], config, seeds)
+    except NonFiniteLoss as exc:
+        raise SweepError(f"training failed at k={exc.k} (seed {exc.seed}): {exc}") from exc
+    except Exception as exc:
+        raise SweepError(f"training failed: {exc}") from exc
+
     records = []
     for k in range(k_max + 1):
-        seeds = [derive_seed(config.seed, k, i) for i in range(seeds_per_k)]
-        try:
-            trained = train_stack(train_ds, valid_ds, replace(arch_template, k=k), config, seeds)
-        except NonFiniteLoss as exc:
-            raise SweepError(f"training failed at k={k} (seed {exc.seed}): {exc}") from exc
-        except Exception as exc:
-            raise SweepError(f"training failed at k={k}: {exc}") from exc
-        candidates = [(sse(net, test), i, seed, net) for i, (seed, (net, _)) in enumerate(zip(seeds, trained))]
-        test_sse, _, seed, net = min(candidates, key=lambda c: c[:2])
+        models = trained[k * seeds_per_k : (k + 1) * seeds_per_k]
+        candidates = [(sse(net, test), i, net) for i, (net, _) in enumerate(models)]
+        test_sse, _, net = min(candidates, key=lambda c: c[:2])
         records.append(
             KRecord(
                 k=k,
                 test_sse=test_sse,
                 test_r2=r2(net, test),
                 max_abs_residual=max_abs_residual(net, test),
-                seed=seed,
+                seed=net.seed,
                 model=net,
             )
         )

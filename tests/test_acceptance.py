@@ -140,7 +140,7 @@ def test_criterion_2_counting_oracle_equivalence():
 def _relu_kink_distance(net, batch) -> float:
     """Smallest |pre-activation| across the public and joint ReLU stacks; the
     loss is differentiable in the checked parameters only away from zero."""
-    cache = N._forward_cache(net, batch[0], batch[1])
+    cache = N._forward_cache(net.stack, batch[0][None], batch[1][None])
     dists = [np.min(np.abs(z)) for z in cache["pub_z"] + cache["joint_z"]]
     return min(dists) if dists else np.inf
 

@@ -306,6 +306,32 @@ class TestErrorPaths:
         assert err.startswith(f"error: model normalizer {message}") and err.count("\n") == 1
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda m: m.pop("architecture"), "architecture"),
+            (lambda m: m["architecture"].update(k="2"), "architecture.k"),
+            (lambda m: m["architecture"].update(k=True), "architecture.k"),
+            (lambda m: m["architecture"].update(secret_widths=[True]), "architecture.secret_widths"),
+            (lambda m: m["weights"].update(secret="w"), "weights.secret"),
+            (lambda m: m["schema"]["secret"][0].update(domain={"int": [0, 10**30]}), "schema"),
+        ],
+        ids=["no-architecture", "string-k", "bool-k", "bool-width", "string-secret-weights", "domain-beyond-int64"],
+    )
+    def test_malformed_model_analyze_exits_4(self, artifacts, tmp_path, capsys, edit, field):
+        # Each of these used to exit 4 with a raw Python message, such as
+        # "'architecture'" or "high is out of bounds for int64".
+        _, sweep_dir, _, _ = artifacts
+        model = json.loads((sweep_dir / "models/k1.json").read_text())
+        edit(model)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(model))
+        rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "c.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model {field}") and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
     def test_missing_census_report(self, tmp_path):
         rc = main(
             ["report", "--census", str(tmp_path / "no.json"), "--sweep", str(tmp_path / "no2.json"), "--out", str(tmp_path / "r.json")]

@@ -118,6 +118,19 @@ class TestLoadCsv:
         with pytest.raises(D.SecretValueOutOfDomain):
             D.load_csv(f, sidecar=sc)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [[0, 10**30], [-(2**63) - 1, 0], [0, 9.0], [False, True], ["0", "9"], [0], 9],
+        ids=["above-int64", "below-int64", "float", "bools", "strings", "one-bound", "scalar"],
+    )
+    def test_sidecar_domain_needs_int64_bounds(self, tmp_path, bounds):
+        f = tmp_path / "t.csv"
+        write_lines(f, ["s_0,time", "0,1.0", "1,2.0"])
+        sc = tmp_path / "t.schema.json"
+        sc.write_text(json.dumps({"secret": [{"name": "s_0", "domain": {"int": bounds}}], "public": []}))
+        with pytest.raises(D.DatasetError, match=r"secret feature 's_0': int domain must be \[lo, hi\]"):
+            D.load_csv(f, sidecar=sc)
+
     def test_sidecar_overrides_inference(self, tmp_path):
         f = tmp_path / "t.csv"
         write_lines(f, ["s_0,time", "0,1.0", "1,2.0"])

@@ -357,9 +357,34 @@ class LooseNet:
         return [a for layer in layers for a in layer]
 
 
+def reference_forward(net, xn, yn):
+    """Every activation of a forward pass over (rows, d) arrays, by plain 2-D
+    products of each layer's own arrays."""
+
+    def relu_stack(layers, h):
+        ins, zs = [], []
+        for w, b in layers:
+            ins.append(h)
+            zs.append(h @ w.T + b)
+            h = np.maximum(zs[-1], 0.0)
+        return ins, zs, h
+
+    cache = {}
+    bits = np.zeros((yn.shape[0], 0))
+    if net.k > 0:
+        cache["sec_in"], cache["sec_z"], cache["sec_out"] = relu_stack(net.secret_layers, xn)
+        cache["iface_preact"] = cache["sec_out"] @ net.iface[0].T + net.iface[1]
+        bits = (cache["iface_preact"] >= 0).astype(float)
+    cache["pub_in"], cache["pub_z"], pub_out = relu_stack(net.public_layers, yn)
+    joint = relu_stack(net.joint_layers, np.concatenate([bits, pub_out], axis=1))
+    cache["joint_in"], cache["joint_z"], cache["joint_out"] = joint
+    cache["t_hat"] = (cache["joint_out"] @ net.out_layer[0].T + net.out_layer[1])[:, 0]
+    return cache
+
+
 def reference_loss_and_gradients(net, batch, ste_clip):
     xn, yn, tn = batch
-    cache = N._forward_cache(net, xn, yn)
+    cache = reference_forward(net, xn, yn)
     resid = cache["t_hat"] - tn
     grads = {}
 
@@ -408,7 +433,7 @@ def reference_train(ds_train, ds_valid, arch, config):
     moments = ([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
     def sse(x, y, t):
-        return float(np.sum((N.predict_batch(net, x, y)[0] - t) ** 2))
+        return float(np.sum((reference_forward(net, x, y)["t_hat"] - t) ** 2))
 
     history, best_valid, best, stall, t = [], np.inf, [p.copy() for p in params], 0, 0
     for epoch in range(config.max_epochs):
@@ -501,7 +526,7 @@ class TestFlatParameters:
         arch = N.Architecture(2, 7, 1, (5,), (5,), (10,))
         config = quick_config(max_epochs=25)
         seeds = [9, 10, 11]
-        for seed, (net, history) in zip(seeds, N.train_stack(tr, va, arch, config, seeds)):
+        for seed, (net, history) in zip(seeds, N.train_stack(tr, va, [arch] * 3, config, seeds)):
             ref_params, ref_history = reference_train(tr, va, arch, replace(config, seed=seed))
             assert history == ref_history and len(history) == 25
             assert all(np.array_equal(p, r) for p, r in zip(split_like(net, net.flat), ref_params))
@@ -527,7 +552,7 @@ class TestLockstep:
         tr, va = D.split(ds, 0.1, 0)
         config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=5)
         seeds = [1, 2, 3]
-        stacked = N.train_stack(tr, va, arch, config, seeds)
+        stacked = N.train_stack(tr, va, [arch] * 3, config, seeds)
         epochs = [len(history) for _, history in stacked]
         # Members stop at different epochs, so the stack shrinks mid-run.
         assert len(set(epochs)) > 1 and min(epochs) < config.max_epochs
@@ -545,22 +570,118 @@ class TestLockstep:
         config = quick_config(max_epochs=10)
         n_batches = -(-tr.n_rows // config.batch_size)
         real_step = N.adam_step
+        arch = N.Architecture(2, 7, 1, (5,), (5,), (10,))
+        second = N.Stack([arch] * 3).owner == 1
 
         def poisoned_step(params, grads, state, cfg):
             real_step(params, grads, state, cfg)
             if state.step == 2 * n_batches + 1:  # first step of epoch 2
-                params[1] = np.nan  # the stack's second model
+                params[second] = np.nan  # the stack's second model
             return state
 
         monkeypatch.setattr(N, "adam_step", poisoned_step)
         with pytest.raises(N.NonFiniteLoss, match="epoch 2") as info:
-            N.train_stack(tr, va, N.Architecture(2, 7, 1, (5,), (5,), (10,)), config, [5, 6, 7])
+            N.train_stack(tr, va, [arch] * 3, config, [5, 6, 7])
         assert info.value.epoch == 2 and info.value.seed == 6
+
+
+class TestSweepStack:
+    """One stack over several k: layers grouped by shape, none padded."""
+
+    def test_every_model_equals_training_alone(self):
+        ds = D.gen_rn_preset("R_2", rows=200, noise_std=0.02, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=5)
+        # Given out of k order; results come back in the order given.
+        pairs = [(2, 31), (0, 32), (1, 33), (2, 34), (0, 35), (1, 36)]
+        archs = [N.Architecture(2, 7, k, (6, 4), (5,), (10,)) for k, _ in pairs]
+        stacked = N.train_stack(tr, va, archs, config, [seed for _, seed in pairs])
+        epochs = {(k, seed): len(history) for (k, seed), (_, history) in zip(pairs, stacked)}
+        # Members stop at different epochs, and a whole run of one k leaves
+        # while others train on, so groups and runs shrink mid-run.
+        last_by_k = {k: max(e for (kk, _), e in epochs.items() if kk == k) for k in (0, 1, 2)}
+        assert len(set(epochs.values())) > 2 and len(set(last_by_k.values())) > 1
+        for arch, (k, seed), (net, history) in zip(archs, pairs, stacked):
+            alone, alone_history = N.train(tr, va, arch, replace(config, seed=seed))
+            assert net.k == k and net.seed == seed
+            assert np.array_equal(net.flat, alone.flat)
+            assert history == alone_history
+            assert net.metrics == alone.metrics
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned models overflow
+    @pytest.mark.parametrize(
+        "poisons, applied, reported",
+        [
+            # epoch -> (k, which model of that k): its weights turn NaN at
+            # the first step of the epoch.
+            ({1: (2, 1), 3: (1, 1)}, [14, 12], (1, 3, 12)),
+            ({1: (1, 1), 3: (2, 1)}, [12], (1, 1, 12)),
+        ],
+        ids=["larger-k-first", "smaller-k-first"],
+    )
+    def test_divergence_reports_the_smallest_failing_k(self, monkeypatch, poisons, applied, reported):
+        # Trained one k after another, the smallest k that fails is the one
+        # reported, at the epoch and seed where it fails. In lockstep a
+        # failing k leaves the stack with every larger k, the smaller k
+        # train on, and the error names the smallest k that failed.
+        ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(max_epochs=8)
+        n_batches = -(-tr.n_rows // config.batch_size)
+        archs = [N.Architecture(2, 7, k, (5,), (5,), (10,)) for k in (0, 1, 1, 2, 2)]
+        seeds = [10, 11, 12, 13, 14]
+        real = N.loss_and_gradients
+        steps, poisoned = [], []
+
+        def poisoned_step(stack, batch, ste_clip, ws):
+            epoch, step = divmod(len(steps), n_batches)
+            steps.append(epoch)
+            rows = [row for row, a in enumerate(stack.archs) if a.k == poisons.get(epoch, (None,))[0]]
+            if step == 0 and rows:
+                row = rows[poisons[epoch][1]]
+                stack.flat[stack.owner == row] = np.nan
+                poisoned.append(seeds[archs.index(stack.archs[row]) + poisons[epoch][1]])
+            return real(stack, batch, ste_clip, ws)
+
+        monkeypatch.setattr(N, "loss_and_gradients", poisoned_step)
+        with pytest.raises(N.NonFiniteLoss, match=f"loss diverged at epoch {reported[1]}") as info:
+            N.train_stack(tr, va, archs, config, seeds)
+        assert poisoned == applied
+        assert (info.value.k, info.value.epoch, info.value.seed) == reported
+        assert steps[-1] == config.max_epochs - 1  # the smaller k trained on to the end
+
+    def test_architectures_must_differ_only_in_k(self):
+        ds = D.gen_rn_preset("R_2", rows=60, noise_std=0.0, seed=0)
+        tr, va = D.split(ds, 0.2, 0)
+        archs = [N.Architecture(2, 7, 1, (5,), (5,), (10,)), N.Architecture(2, 7, 2, (6,), (5,), (10,))]
+        with pytest.raises(N.DimensionMismatch, match="differ only in k"):
+            N.train_stack(tr, va, archs, quick_config(), [1, 2])
+
+    def test_one_model_stack_is_the_model_layout(self):
+        # A one-model stack's role arrays, model axis dropped, are the model's
+        # own layer views, in canonical order.
+        net = N.init(N.Architecture(2, 7, 2, (6, 4), (5,), (10,)), seed=3)
+        stack = net.stack
+        assert stack.flat is net.flat and np.all(stack.owner == 0)
+        (first_weights, first_bias), *rest = stack.joint
+        roles = [*stack.secret, *stack.iface, *stack.public, (first_weights[0], first_bias), *rest]
+        arrays = [a[0] for layer in roles for a in layer]
+        views = split_like(net, net.flat)
+        assert len(arrays) == len(views)
+        assert all(a.shape == v.shape and a.ctypes.data == v.ctypes.data for a, v in zip(arrays, views))
 
 
 # ---------------------------------------------------------------------------
 # Workspaces: training reuses its evaluation arrays from pass to pass.
 # ---------------------------------------------------------------------------
+
+
+def stack_predictions(stack, xn, yn, ws=None):
+    """Predictions and interface bits of a stack whose models share one k, on
+    the same (rows, d) inputs, evaluated in `ws` when given."""
+    lead = (len(stack.archs),)
+    cache = N._forward_cache(stack, np.broadcast_to(xn, lead + xn.shape), np.broadcast_to(yn, lead + yn.shape), ws)
+    return cache["t_hat"], np.concatenate(cache["bits"])
 
 
 class TestWorkspace:
@@ -575,8 +696,8 @@ class TestWorkspace:
         bits_seen: dict[tuple[int, int], set[bytes]] = {}
 
         def checked_sse(net, xn, yn, tn, ws):
-            t_reused, bits_reused = (a.copy() for a in N.predict_batch(net, xn, yn, ws))
-            t_fresh, bits_fresh = N.predict_batch(net, xn, yn)
+            t_reused, bits_reused = (a.copy() for a in stack_predictions(net, xn, yn, ws))
+            t_fresh, bits_fresh = stack_predictions(net, xn, yn)
             assert np.array_equal(t_reused, t_fresh) and np.array_equal(bits_reused, bits_fresh)
             sse = real_sse(net, xn, yn, tn, ws)
             assert np.array_equal(sse, real_sse(net, xn, yn, tn))
@@ -584,7 +705,7 @@ class TestWorkspace:
             return sse
 
         monkeypatch.setattr(N, "_sse_arrays", checked_sse)
-        N.train_stack(tr, va, N.Architecture(2, 7, 2, (5,), (5,), (10,)), config, [1, 2, 3])
+        N.train_stack(tr, va, [N.Architecture(2, 7, 2, (5,), (5,), (10,))] * 3, config, [1, 2, 3])
         stack_sizes = {models for models, _ in bits_seen}
         assert len(stack_sizes) > 1  # the stack shrank
         assert any(len(states) > 1 for states in bits_seen.values())  # the bits moved between passes
