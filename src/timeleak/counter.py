@@ -54,6 +54,10 @@ ENUM_BLOCK = 4096
 # Boxes the branch-and-bound takes off its stack and bounds together.
 FRONTIER_BLOCK = 256
 
+# An uncapped search (cap >= domain size) takes blocks of up to this many
+# times `FRONTIER_BLOCK` boxes.
+UNCAPPED_BLOCK_FACTOR = 2
+
 # Cells (boxes x valuations) of the cap-prune mask built at a time.
 PRUNE_MASK_CELLS = 2**18
 
@@ -490,7 +494,11 @@ def bnb_census(
 
     Search over sub-boxes of the domain, depth-first at the granularity of
     blocks of up to `FRONTIER_BLOCK` boxes, and never more than the boxes
-    resolved so far, each block bounded by one interval propagation.
+    resolved so far, each block bounded by one interval propagation. When
+    the cap is at least the domain size, no class reaches it while a box is
+    open, so nothing is pruned and every box has the same outcome in any
+    order: such a search takes blocks of up to `UNCAPPED_BLOCK_FACTOR` times
+    `FRONTIER_BLOCK` boxes with no ramp, and visits the same nodes.
     Interval bounds fix an interface bit over a box where they clear the
     reducer's tie tolerance (see `TIE_RTOL`); fully determined boxes
     are counted in closed form, boxes that can only feed already-capped
@@ -534,10 +542,13 @@ def bnb_census(
         if nodes >= budget:
             complete = False
             break
-        # A block holds no more boxes than the search has resolved so far: it
-        # dives to its first resolved boxes before it widens, so the classes
-        # they cap can prune the boxes it has not split yet.
-        take = min(FRONTIER_BLOCK, max(1, nodes - outcomes[3]), budget - nodes)
+        # A capped block holds no more boxes than the search has resolved so
+        # far: it dives to its first resolved boxes before it widens, so the
+        # classes they cap can prune the boxes it has not split yet.
+        if cap >= dom.size:
+            take = min(UNCAPPED_BLOCK_FACTOR * FRONTIER_BLOCK, budget - nodes)
+        else:
+            take = min(FRONTIER_BLOCK, max(1, nodes - outcomes[3]), budget - nodes)
         los, his = stack.pop()
         if len(los) > take:
             stack.append((los[take:], his[take:]))

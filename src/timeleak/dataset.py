@@ -502,17 +502,6 @@ def normalizer_to_json(norm: Normalizer) -> dict:
     }
 
 
-def normalizer_from_json(obj: dict) -> Normalizer:
-    return Normalizer(
-        secret_shift=np.asarray(obj["secret_shift"], dtype=np.float64),
-        secret_denom=np.asarray(obj["secret_denom"], dtype=np.float64),
-        public_shift=np.asarray(obj["public_shift"], dtype=np.float64),
-        public_scale=np.asarray(obj["public_scale"], dtype=np.float64),
-        time_shift=float(obj["time_shift"]),
-        time_scale=float(obj["time_scale"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Generators: boolean-clause loop family
 # ---------------------------------------------------------------------------

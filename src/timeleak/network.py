@@ -29,7 +29,6 @@ from .dataset import (
     Normalizer,
     TraceDataset,
     fit_normalizer,
-    normalizer_from_json,
     normalizer_to_json,
     schema_from_json,
     schema_to_json,
@@ -834,15 +833,54 @@ def _stored_layers(weights, arch: Architecture) -> list[tuple[np.ndarray, np.nda
             raise ModelFormatError(f"model {name} must be an object with w and b")
         arrays = []
         for key, shape in (("w", (n_out, n_in)), ("b", (n_out,))):
-            try:
-                arr = np.asarray(layer.get(key))
-            except (ValueError, TypeError, OverflowError):
-                arr = np.asarray(None)
-            if arr.dtype.kind not in "if" or arr.shape != shape:
+            arr = _number_array(layer.get(key), shape)
+            if arr is None:
                 raise ModelFormatError(f"model {name}.{key} must be an array of numbers of shape {shape}")
-            arrays.append(arr.astype(np.float64))
+            arrays.append(arr)
         layers.append(tuple(arrays))
     return layers
+
+
+def _number_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """`value` as a float64 array if it holds JSON numbers (not bools) in
+    this shape, else None."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.dtype.kind not in "if" or arr.shape != shape:
+        return None
+    return arr.astype(np.float64)
+
+
+def _normalizer_from_json(obj, arch: Architecture) -> Normalizer:
+    """The `normalizer` object, each field checked against the architecture.
+    `fit_normalizer` writes only positive scales and denominators."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"model normalizer must be an object, got {type(obj).__name__}")
+    fields = {}
+    for name, n, per in (
+        ("secret_shift", arch.n_secret, "secret feature"),
+        ("secret_denom", arch.n_secret, "secret feature"),
+        ("public_shift", arch.n_public, "public feature"),
+        ("public_scale", arch.n_public, "public feature"),
+        ("time_shift", None, None),
+        ("time_scale", None, None),
+    ):
+        if name not in obj:
+            raise ModelFormatError(f"model normalizer {name} is missing")
+        vector = n is not None
+        arr = _number_array(obj[name], (n,) if vector else ())
+        if arr is None:
+            must = f"hold {n} values, one per {per}" if vector else "be a number"
+            raise ModelFormatError(f"model normalizer {name} must {must}, got {obj[name]!r:.40}")
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(f"model normalizer values are not all finite: {name}")
+        if name in ("secret_denom", "public_scale", "time_scale") and not (arr > 0).all():
+            must = "values must all be" if vector else "must be"
+            raise ModelFormatError(f"model normalizer {name} {must} > 0")
+        fields[name] = arr if vector else float(arr)
+    return Normalizer(**fields)
 
 
 def from_json(obj: dict) -> TriBranchNetwork:
@@ -873,19 +911,7 @@ def from_json(obj: dict) -> TriBranchNetwork:
         vb[...] = lb
     if not np.isfinite(flat).all():
         raise ModelFormatError("model weights are not all finite")
-    normalizer = None
-    if obj.get("normalizer"):
-        try:
-            normalizer = normalizer_from_json(obj["normalizer"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"model normalizer is malformed: {exc!r}") from None
-        if not all(np.isfinite(v).all() for v in vars(normalizer).values()):
-            raise ModelFormatError("model normalizer values are not all finite")
-        for name in ("secret_shift", "secret_denom"):
-            if getattr(normalizer, name).shape != (arch.n_secret,):
-                raise ModelFormatError(f"model normalizer {name} must hold {arch.n_secret} values, one per secret feature")
-        if not (normalizer.secret_denom > 0).all():
-            raise ModelFormatError("model normalizer secret_denom values must all be > 0")
+    normalizer = None if obj.get("normalizer") is None else _normalizer_from_json(obj["normalizer"], arch)
     return TriBranchNetwork(arch, flat, normalizer=normalizer, schema=schema, seed=seed, metrics=obj.get("metrics"))
 
 

@@ -315,12 +315,36 @@ class TestErrorPaths:
             (lambda m: m["architecture"].update(secret_widths=[True]), "architecture.secret_widths"),
             (lambda m: m["weights"].update(secret="w"), "weights.secret"),
             (lambda m: m["schema"]["secret"][0].update(domain={"int": [0, 10**30]}), "schema"),
+            (lambda m: m["normalizer"].pop("secret_shift"), "normalizer secret_shift is missing"),
+            (lambda m: m.update(normalizer="x"), "normalizer must be an object"),
+            (lambda m: m["normalizer"].update(time_scale="a"), "normalizer time_scale must be a number"),
+            (lambda m: m["normalizer"].update(time_shift=True), "normalizer time_shift must be a number"),
+            (lambda m: m["normalizer"]["public_shift"].pop(), "normalizer public_shift must hold"),
+            (lambda m: m["normalizer"].update(public_scale=[["1.0"]] * len(m["normalizer"]["public_scale"])), "normalizer public_scale must hold"),
+            (lambda m: m["normalizer"].update(time_scale=0.0), "normalizer time_scale must be > 0"),
+            (lambda m: m["normalizer"].update(public_scale=[-1.0] * len(m["normalizer"]["public_scale"])), "normalizer public_scale values"),
         ],
-        ids=["no-architecture", "string-k", "bool-k", "bool-width", "string-secret-weights", "domain-beyond-int64"],
+        ids=[
+            "no-architecture",
+            "string-k",
+            "bool-k",
+            "bool-width",
+            "string-secret-weights",
+            "domain-beyond-int64",
+            "no-secret-shift",
+            "string-normalizer",
+            "string-time-scale",
+            "bool-time-shift",
+            "short-public-shift",
+            "string-public-scale",
+            "zero-time-scale",
+            "negative-public-scale",
+        ],
     )
     def test_malformed_model_analyze_exits_4(self, artifacts, tmp_path, capsys, edit, field):
         # Each of these used to exit 4 with a raw Python message, such as
-        # "'architecture'" or "high is out of bounds for int64".
+        # "'architecture'" or "high is out of bounds for int64", or (a short
+        # public_shift, a zero time_scale) exit 0.
         _, sweep_dir, _, _ = artifacts
         model = json.loads((sweep_dir / "models/k1.json").read_text())
         edit(model)

@@ -466,12 +466,26 @@ class TestBnb:
         assert census.nodes == 300 and not census.complete
         assert sum(census.node_outcomes) == 300
 
+    def test_budget_runs_out_inside_a_wide_block(self, rng):
+        # Uncapped, the blocks double from the root with no ramp: 1, 2, ...,
+        # 128 boxes make 255 nodes, and the next block of 256 is cut to the
+        # 45 the budget of 300 has left. No box is yet small enough to be a
+        # leaf, where a capped search would have dived to its first leaves.
+        reducer = straddling_reducer(rng, (D.Binary(),) * 30, k=4)
+        dom = C.SecretDomain(los=(0,) * 30, his=(1,) * 30)
+        census = C.bnb_census(reducer, dom, cap=dom.size, budget=300)
+        assert census.nodes == 300 and not census.complete
+        assert sum(census.node_outcomes) == 300 == census.node_outcomes.split
+
     @pytest.mark.parametrize("block", [1, 3])
     def test_frontier_block_does_not_change_census(self, rng, monkeypatch, block):
-        monkeypatch.setattr(C, "FRONTIER_BLOCK", block)
         for domains in ((D.Binary(),) * 8, (D.IntRange(-7, 9), D.Binary(), D.IntRange(0, 12))):
             reducer = straddling_reducer(rng, domains, hidden=6, k=3)
             dom = C.SecretDomain(los=tuple(d.lo for d in domains), his=tuple(d.hi for d in domains))
+            # Uncapped searches prune nothing, so they visit the same boxes
+            # with the same outcomes whatever the block size.
+            uncapped = {leaf_limit: C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=leaf_limit) for leaf_limit in (1, 16, dom.size)}
+            monkeypatch.setattr(C, "FRONTIER_BLOCK", block)
             for cap in (1, 5, dom.size):
                 oracle = C.brute_force_census(reducer, dom, cap=cap)
                 assert oracle.feasible_count > 1
@@ -479,6 +493,10 @@ class TestBnb:
                     census = C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit)
                     assert census == oracle
                     assert leaf_limit >= dom.size or census.nodes > block
+                    if cap == dom.size:
+                        default = uncapped[leaf_limit]
+                        assert (census.nodes, census.node_outcomes) == (default.nodes, default.node_outcomes)
+            monkeypatch.undo()
 
     def test_node_outcomes_sum_to_nodes(self, rng, and_gate_reducer):
         tie = hand_reducer([[1.0, -1.0]], [0.0], (D.Binary(), D.Binary()))
