@@ -142,7 +142,7 @@ class ReducerNet:
         """Float interface pre-activations of (rows, d) raw secrets, by the
         evaluator that training and prediction use."""
         xn = (np.asarray(x_raw, dtype=np.float64) - self.input_shift) / self.input_denom
-        return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn)[-1]
+        return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn)
 
     def bits(self, x_raw: np.ndarray) -> np.ndarray:
         return interface_bits(self.preactivations(x_raw)).astype(np.int64)

@@ -234,7 +234,9 @@ class Stack:
     matmuls run one model slice at a time, so each model's slice is computed
     exactly as it would be alone. All arrays are views into `flat`, role
     after role, weights before biases; for one model that is the layout of
-    `TriBranchNetwork.flat`. `joint[0]` is (per-run weights, bias)."""
+    `TriBranchNetwork.flat`. `joint[0]` is (per-run weights, bias). `bound`
+    holds the same roles as the forward pass reads them, each weight
+    transposed and each bias as a row (`_bind`)."""
 
     def __init__(self, archs, flat: np.ndarray | None = None):
         self.archs = tuple(archs)
@@ -251,6 +253,9 @@ class Stack:
         if self.flat.shape != (size,) or self.flat.dtype != np.float64:
             raise DimensionMismatch("parameter vector does not match the stacked architectures")
         (self.secret, self.iface, self.public, self.joint), _ = _stack_views(self.archs, self.flat)
+        (first_w, first_b), rest = self.joint[0], self.joint[1:]
+        first = ([w.swapaxes(-1, -2) for w in first_w], first_b[..., None, :])
+        self.bound = (_bind(self.secret), _bind(self.iface), _bind(self.public), [first, *_bind(rest)])
 
     @functools.cached_property
     def owner(self) -> np.ndarray:
@@ -305,35 +310,36 @@ def init(arch: Architecture, seed: int) -> TriBranchNetwork:
     return TriBranchNetwork(arch, flat, seed=seed)
 
 
-def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """h @ w.T + b, per model for a stack's (M, rows, d) activations, written
-    into `out` when given (a new array otherwise)."""
-    out = np.matmul(h, w.swapaxes(-1, -2), out=out)
-    out += b[..., None, :]
+def _bind(layers: list[Layer]) -> list[Layer]:
+    """Each (w, b) layer as `_affine` reads it: w transposed, b as a row."""
+    return [(w.swapaxes(-1, -2), b[..., None, :]) for w, b in layers]
+
+
+def _affine(h: np.ndarray, wt: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """h @ w.T + b for a layer bound by `_bind`, per model for a stack's
+    (M, rows, d) activations, written into `out` when given (a new array
+    otherwise)."""
+    out = np.matmul(h, wt, out=out)
+    out += b
     return out
 
 
-def _relu_stack(layers: list[Layer], h: np.ndarray, bufs=None) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Run `h` through ReLU layers: each layer's input, each layer's
-    pre-activation, and the stack's output. `bufs`, if given, holds one
-    (pre-activation, output) pair of arrays per layer to write them into."""
-    ins, zs = [], []
-    for (w, b), (z, out) in zip(layers, bufs or [(None, None)] * len(layers)):
-        ins.append(h)
-        zs.append(_affine(h, w, b, z))
-        h = np.maximum(zs[-1], 0.0, out=out)
-    return ins, zs, h
+def _relu_stack(layers: list[Layer], h: np.ndarray, bufs=None) -> np.ndarray:
+    """Run `h` through ReLU layers bound by `_bind` and return the output.
+    `bufs`, if given, holds one (pre-activation, output) pair of arrays per
+    layer to write them into."""
+    for (wt, b), (z, out) in zip(layers, bufs or [(None, None)] * len(layers)):
+        h = np.maximum(_affine(h, wt, b, z), 0.0, out=out)
+    return h
 
 
-def secret_branch(layers: list[Layer], iface: Layer, xn: np.ndarray):
-    """The secret stack and the interface layer on normalized secrets: the
-    stack's (ins, zs, out) and the interface pre-activations. The counter's
-    reducer evaluates the branch here; a stack's forward pass runs the same
-    `_relu_stack` and `_affine` steps, the interface once per run of equal
-    k. The census counts with its own table kernel, in exact arithmetic at
-    the threshold."""
-    ins, zs, h = _relu_stack(layers, xn)
-    return ins, zs, h, _affine(h, *iface)
+def secret_branch(layers: list[Layer], iface: Layer, xn: np.ndarray) -> np.ndarray:
+    """The interface pre-activations of the secret stack and interface
+    layer on normalized secrets. The counter's reducer evaluates the branch
+    here; a stack's forward pass runs the same `_relu_stack` and `_affine`
+    steps, the interface once per run of equal k. The census counts with
+    its own table kernel, in exact arithmetic at the threshold."""
+    return _affine(_relu_stack(_bind(layers), xn), *_bind([iface])[0])
 
 
 def interface_bits(preact: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -343,22 +349,26 @@ def interface_bits(preact: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 
 class Workspace:
-    """The arrays a pass of a stack over (M, rows) batches writes: every
-    layer's pre-activation and output, the interface pre-activations and the
-    joint input of each run with k >= 1, and, unless `forward_only`, the
-    gradients gathered at the secret and public outputs and the gradient
-    vector. A forward-only workspace keeps one array per ReLU layer, which
-    the ReLU overwrites. A pass writes each array before it reads it, so a
-    workspace carries nothing from one pass to the next and can serve every
-    pass of its shape; what a pass returns lives here until the next one.
+    """The arrays a pass of `stack` over (M, rows) batches writes, and every
+    view of them that it reads, bound once: each layer's pre-activation and
+    output, the interface pre-activations and the joint input of each run
+    with k >= 1 (the bits, then a copy of the public output), the
+    predictions `t_hat` and, unless `forward_only`, the residuals, the
+    backward temporaries, the gradient vector `grad` and per-layer records
+    that also bind the stack weights the backward pass reads. A branch with
+    no hidden layers gets a copy of its input as its output. A forward-only
+    workspace keeps one array per ReLU layer, which the ReLU overwrites. A
+    pass writes each array before it reads it, so a workspace carries
+    nothing from one pass to the next and serves every pass of its shape
+    over `stack`; what a pass returns lives here until the next one. A stack
+    that shrinks is a new stack and needs new workspaces.
 
     The arrays are consecutive views of `arena` when one is given (its
     first `size` entries), so workspaces that never serve passes at the same
     time can share one buffer; otherwise each is allocated on its own."""
 
     def __init__(self, stack: Stack, rows: int, forward_only: bool = False, arena: np.ndarray | None = None):
-        a, m = stack.archs[0], len(stack.archs)
-        m_secret, p = m - stack.n_plain, a.public_out_dim
+        a, m, s, runs = stack.archs[0], len(stack.archs), stack.n_plain, stack.secret_runs
         self.size = 0
 
         def take(*shape: int) -> np.ndarray:
@@ -367,65 +377,94 @@ class Workspace:
             self.size += n
             return view
 
-        def relu_stack(lead: tuple[int, int], widths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+        def relu_stack(lead: tuple[int, int], d: int, widths: tuple[int, ...]):
             pairs = []
             for w in widths:
                 z = take(*lead, w)
                 pairs.append((z, z if forward_only else take(*lead, w)))
-            return pairs
+            return pairs, pairs[-1][1] if pairs else take(*lead, d)
 
-        self.secret = relu_stack((m_secret, rows), a.secret_widths if m_secret else ())
-        self.preact = [take(hi - lo, rows, k) for k, lo, hi in stack.secret_runs]
-        # The interface bits, then a copy of the public stack's output.
-        self.joint_in = [take(hi - lo, rows, k + p) for k, lo, hi in stack.secret_runs]
-        self.public = relu_stack((m, rows), a.public_widths)
-        self.joint = relu_stack((m, rows), a.joint_widths)
+        self.secret, self.sec_out = relu_stack((m - s, rows), a.n_secret, a.secret_widths if m > s else ())
+        self.preact = [take(hi - lo, rows, k) for k, lo, hi in runs]
+        self.joint_in = [take(hi - lo, rows, k + a.public_out_dim) for k, lo, hi in runs]
+        self.public, self.pub_out = relu_stack((m, rows), a.n_public, a.public_widths)
+        self.joint, _ = relu_stack((m, rows), 0, a.joint_widths)
         self.out = take(m, rows, 1)
-        if not forward_only:
-            self.d_secret = take(m_secret, rows, (a.secret_widths or (a.n_secret,))[-1])
-            self.d_public = take(m, rows, p)
-            self.grad = take(stack.flat.size)
-            self.grad_layers = _stack_views(stack.archs, self.grad)[0]
+        self.t_hat = self.out[..., 0]
+        self.bits = [j[..., :k] for (k, _, _), j in zip(runs, self.joint_in)]
+        self.sec_parts = [self.sec_out[lo - s : hi - s] for _, lo, hi in runs]
+        self.pub_parts = [(j[..., k:], self.pub_out[lo:hi]) for (k, lo, hi), j in zip(runs, self.joint_in)]
+        # The first joint layer's input and pre-activation of each run.
+        z0 = self.joint[0][0] if self.joint else self.out
+        self.first = [(h, z0[lo:hi]) for h, (_, lo, hi) in zip(([self.pub_out[:s]] if s else []) + self.joint_in, stack.runs)]
+        if forward_only:
+            return
+
+        def backward(layers, grads, pairs, h=None, d_in=None):
+            """The records `_relu_stack_backward` reads, last layer first (an
+            input or input gradient of None: the pass's input, not needed),
+            and the gradient at the stack's output."""
+            records = []
+            for (w, _), (g_w, g_b), (z, out) in zip(layers, grads, pairs):
+                dh, dz = take(*z.shape), take(*z.shape)
+                records.insert(0, (w, g_w, g_b, h, z, dh, dz, dz.swapaxes(-1, -2), d_in))
+                h, d_in = out, dh
+            return records, d_in
+
+        self.grad = take(stack.flat.size)
+        self.grad_layers = g_secret, _, g_public, g_joint = _stack_views(stack.archs, self.grad)[0]
+        self.resid, self.sq, self.d_out = take(m, rows), take(m, rows), take(m, rows, 1)
+        self.resid_col, self.d_out_t = self.resid[..., None], self.d_out.swapaxes(-1, -2)
+        self.secret_back, self.d_secret = backward(stack.secret, g_secret, self.secret)
+        self.public_back, self.d_public = backward(stack.public, g_public, self.public)
+        # The gradient at the first joint layer's output and its dz (the
+        # output layer's dz if it is the first), then the layers after it.
+        first = a.joint_widths[:1]
+        self.d_first, self.dz_first = (take(m, rows, *first), take(m, rows, *first)) if first else (None, self.d_out)
+        h, rest = self.joint[0][1] if self.joint else None, stack.joint[1:-1]
+        self.joint_back, self.d_joint = backward(rest, g_joint[1:-1], self.joint[1:], h, self.d_first)
+        self.first_back, self.iface_back = [], []
+        for _, lo, hi in stack.runs:
+            dz = self.dz_first[lo:hi]
+            self.first_back.append((dz, dz.swapaxes(-1, -2), self.d_public[lo:hi] if self.public else None))
+        for k, lo, hi in runs:
+            dh, da = take(hi - lo, rows, k + a.public_out_dim), take(hi - lo, rows, k)
+            d_sec = self.d_secret[lo - s : hi - s] if self.secret else None
+            self.iface_back.append((dh, dh[..., :k], dh[..., k:], da, da.swapaxes(-1, -2), d_sec))
 
 
-def _forward_cache(stack: Stack, xn: np.ndarray, yn: np.ndarray, ws: Workspace | None = None) -> dict:
-    """Every activation of a forward pass of `stack` on (M, rows, d) batches,
-    written into `ws` (a new full workspace when none is given; in a
-    forward-only one the ReLU outputs overwrite the pre-activations). The
-    interface pre-activations, the bits and the first joint layer's inputs
-    are lists with one entry per run (per run with k >= 1 for the first
-    two)."""
+def _forward_cache(stack: Stack, xn: np.ndarray, yn: np.ndarray, ws: Workspace | None = None) -> Workspace:
+    """A forward pass of `stack` on (M, rows, d) batches, written into `ws`
+    (a new full workspace when none is given), which is returned."""
     if ws is None:
         ws = Workspace(stack, yn.shape[-2])
-    cache: dict = {"iface_preact": ws.preact, "bits": []}
-    s = stack.n_plain
-    if stack.iface:
-        sec_in, sec_z, h = _relu_stack(stack.secret, xn[s:], ws.secret)
-        for (k, lo, hi), (w, b), preact, joint_in in zip(stack.secret_runs, stack.iface, ws.preact, ws.joint_in):
-            _affine(h[lo - s : hi - s], w, b, out=preact)
-            cache["bits"].append(interface_bits(preact, out=joint_in[..., :k]))
-        cache.update(sec_in=sec_in, sec_z=sec_z, sec_out=h)
-
-    pub_in, pub_z, p = _relu_stack(stack.public, yn, ws.public)
-    joint_in = [p[:s]] if s else []
-    for (k, lo, hi), buf in zip(stack.secret_runs, ws.joint_in):
-        buf[..., k:] = p[lo:hi]
-        joint_in.append(buf)
+    secret, iface, public, joint = stack.bound
+    # A branch with no hidden layers passes on a copy of its input.
+    if iface:
+        xs = xn[stack.n_plain :]
+        if secret:
+            _relu_stack(secret, xs, ws.secret)
+        else:
+            np.copyto(ws.sec_out, xs)
+        for (wt, b), h, preact, bits in zip(iface, ws.sec_parts, ws.preact, ws.bits):
+            interface_bits(_affine(h, wt, b, preact), out=bits)
+    if public:
+        _relu_stack(public, yn, ws.public)
+    else:
+        np.copyto(ws.pub_out, yn)
+    for to, part in ws.pub_parts:
+        np.copyto(to, part)
     # The first joint layer: a product per run, then one bias-add (and one
     # ReLU) over every model.
-    (weights, bias), rest = stack.joint[0], stack.joint[1:]
+    (weights, bias), rest = joint[0], joint[1:]
+    for wt, (h, z) in zip(weights, ws.first):
+        np.matmul(h, wt, out=z)
     z = ws.joint[0][0] if rest else ws.out
-    for (_, lo, hi), w, h in zip(stack.runs, weights, joint_in):
-        np.matmul(h, w.swapaxes(-1, -2), out=z[lo:hi])
-    z += bias[..., None, :]
-    ins, zs = [joint_in], [z]
+    z += bias
     if rest:
-        more_in, more_z, h = _relu_stack(rest[:-1], np.maximum(z, 0.0, out=ws.joint[0][1]), ws.joint[1:])
-        ins, zs = ins + more_in, zs + more_z
-        z = _affine(h, *rest[-1], out=ws.out)
-        cache["joint_out"] = h
-    cache.update(pub_in=pub_in, pub_z=pub_z, joint_in=ins, joint_z=zs, t_hat=z[..., 0])
-    return cache
+        h = _relu_stack(rest[:-1], np.maximum(z, 0.0, out=ws.joint[0][1]), ws.joint[1:])
+        _affine(h, *rest[-1], ws.out)
+    return ws
 
 
 def predict_batch(
@@ -441,27 +480,22 @@ def predict_batch(
         )
     if ws is None:
         ws = Workspace(net.stack, yn.shape[0], forward_only=True)
-    cache = _forward_cache(net.stack, xn[None], yn[None], ws)
-    t_hat = cache["t_hat"][0]
-    bits = cache["bits"][0][0] if net.k else np.empty((t_hat.shape[0], 0))
-    return t_hat, bits.astype(np.int64)
+    ws = _forward_cache(net.stack, xn[None], yn[None], ws)
+    bits = ws.bits[0][0] if net.k else np.empty((yn.shape[0], 0))
+    return ws.t_hat[0], bits.astype(np.int64)
 
 
-def _put_gradient(grad: Layer, dz: np.ndarray, h_in: np.ndarray) -> None:
-    """Write one layer's weight and bias gradients into their slots."""
-    np.matmul(dz.swapaxes(-1, -2), h_in, out=grad[0])
-    dz.sum(axis=-2, out=grad[1])
-
-
-def _relu_stack_backward(layers: list[Layer], grads: list[Layer], ins, zs, dh: np.ndarray, input_grad: bool = True):
-    """Write the gradients of a `_relu_stack` pass into `grads`, given the
-    gradient `dh` at its output, and return the gradient at its input; with
-    `input_grad` false that gradient is not computed and None is returned."""
-    for i in reversed(range(len(layers))):
-        dz = dh * (zs[i] > 0)
-        _put_gradient(grads[i], dz, ins[i])
-        dh = dz @ layers[i][0] if i or input_grad else None
-    return dh
+def _relu_stack_backward(records, h: np.ndarray | None) -> None:
+    """Write the gradients of a `_relu_stack` pass into their slots, given
+    its input `h` and its layers' `Workspace` records, last layer first:
+    weight, gradient slots, input, pre-activation, gradient at the output
+    (written before the call), dz, dz transposed and gradient at the input."""
+    for w, g_w, g_b, h_in, z, dh, dz, dz_t, d_in in records:
+        np.multiply(dh, np.greater(z, 0.0, out=dz), out=dz)
+        np.matmul(dz_t, h if h_in is None else h_in, out=g_w)
+        np.add.reduce(dz, -2, out=g_b)
+        if d_in is not None:
+            np.matmul(dz, w, out=d_in)
 
 
 def loss_and_gradients(
@@ -480,7 +514,8 @@ def loss_and_gradients(
     surrogate: the incoming gradient passes unchanged where the
     pre-activation magnitude is at most `ste_clip` and is zeroed elsewhere.
     The pass writes into `ws` (a new workspace when none is given), and the
-    gradient returned is `ws.grad`.
+    gradient returned is `ws.grad`. Every array of the pass but the losses
+    is one of `ws`, and every view of them it reads is bound there.
     """
     one = isinstance(net, TriBranchNetwork)
     stack = net.stack if one else net
@@ -490,43 +525,44 @@ def loss_and_gradients(
         raise NetworkError("batch must be non-empty")
     if ws is None:
         ws = Workspace(stack, rows)
-    cache = _forward_cache(stack, xn, yn, ws)
-    resid = cache["t_hat"] - tn
-    loss = np.mean(resid**2, axis=-1)
+    _forward_cache(stack, xn, yn, ws)
+    resid = np.subtract(ws.t_hat, tn, out=ws.resid)
+    # The mean of the squares: np.mean is this sum, then this division.
+    loss = np.add.reduce(np.multiply(resid, resid, out=ws.sq), -1) / rows
 
     # Every slot of the gradient is written below.
-    g_secret, g_iface, g_public, g_joint = ws.grad_layers
-    dz = (2.0 / rows) * resid[..., None]
+    _, g_iface, _, g_joint = ws.grad_layers
+    np.multiply(2.0 / rows, ws.resid_col, out=ws.d_out)
     (weights, _), rest = stack.joint[0], stack.joint[1:]
     if rest:
-        _put_gradient(g_joint[-1], dz, cache["joint_out"])
-        dh = _relu_stack_backward(rest[:-1], g_joint[1:-1], cache["joint_in"][1:], cache["joint_z"][1:], dz @ rest[-1][0])
-        dz = dh * (cache["joint_z"][0] > 0)
-    dz.sum(axis=-2, out=g_joint[0][1])
+        np.matmul(ws.d_out_t, ws.joint[-1][1], out=g_joint[-1][0])
+        np.add.reduce(ws.d_out, -2, out=g_joint[-1][1])
+        np.matmul(ws.d_out, rest[-1][0], out=ws.d_joint)
+        _relu_stack_backward(ws.joint_back, None)
+        np.multiply(ws.d_first, np.greater(ws.joint[0][0], 0.0, out=ws.dz_first), out=ws.dz_first)
+    np.add.reduce(ws.dz_first, -2, out=g_joint[0][1])
 
     # Per run: the first joint weights, then the interface, and the
     # gradients at the secret and public outputs, gathered for one backward
     # pass of each stack over every model.
-    s = stack.n_plain
-    iface = iter(zip(stack.iface, g_iface, cache["iface_preact"]))
-    for (k, lo, hi), w, g_w, h in zip(stack.runs, weights, g_joint[0][0], cache["joint_in"][0]):
-        dz_run = dz[lo:hi]
-        np.matmul(dz_run.swapaxes(-1, -2), h, out=g_w)
+    iface = iter(zip(stack.iface, g_iface, ws.preact, ws.sec_parts, ws.iface_back))
+    for (k, _, _), w, g_w, (h, _), (dz, dz_t, d_public) in zip(stack.runs, weights, g_joint[0][0], ws.first, ws.first_back):
+        np.matmul(dz_t, h, out=g_w)
         if k == 0:
             if stack.public:
-                np.matmul(dz_run, w, out=ws.d_public[lo:hi])
+                np.matmul(dz, w, out=d_public)
             continue
-        dh = dz_run @ w
-        (w_iface, _), g_i, preact = next(iface)
-        da = dh[..., :k] * (np.abs(preact) <= ste_clip)
-        _put_gradient(g_i, da, cache["sec_out"][lo - s : hi - s])
+        (w_iface, _), (g_iw, g_ib), preact, h_secret, (dh, dh_bits, dh_public, da, da_t, d_secret) = next(iface)
+        np.matmul(dz, w, out=dh)
+        np.multiply(dh_bits, np.less_equal(np.abs(preact, out=da), ste_clip, out=da), out=da)
+        np.matmul(da_t, h_secret, out=g_iw)
+        np.add.reduce(da, -2, out=g_ib)
         if stack.secret:
-            np.matmul(da, w_iface, out=ws.d_secret[lo - s : hi - s])
+            np.matmul(da, w_iface, out=d_secret)
         if stack.public:
-            ws.d_public[lo:hi] = dh[..., k:]
-    if stack.secret:
-        _relu_stack_backward(stack.secret, g_secret, cache["sec_in"], cache["sec_z"], ws.d_secret, False)
-    _relu_stack_backward(stack.public, g_public, cache["pub_in"], cache["pub_z"], ws.d_public, False)
+            np.copyto(d_public, dh_public)
+    _relu_stack_backward(ws.secret_back, xn[stack.n_plain :])
+    _relu_stack_backward(ws.public_back, yn)
 
     return (loss[0] if one else loss), ws.grad
 
@@ -573,7 +609,7 @@ def _sse_arrays(stack: Stack, xn, yn, tn, ws: Workspace | None = None) -> np.nda
     lead = (len(stack.archs),)
     if ws is None:
         ws = Workspace(stack, yn.shape[0], forward_only=True)
-    t_hat = _forward_cache(stack, np.broadcast_to(xn, lead + xn.shape), np.broadcast_to(yn, lead + yn.shape), ws)["t_hat"]
+    t_hat = _forward_cache(stack, np.broadcast_to(xn, lead + xn.shape), np.broadcast_to(yn, lead + yn.shape), ws).t_hat
     return np.sum((t_hat - tn) ** 2, axis=-1)
 
 
@@ -600,9 +636,11 @@ def train_stack(
     order given. The architectures may differ only in k.
 
     Every model draws its own batch order and early-stops on its own; a
-    stopped model leaves the stack with its best-validation snapshot. The
-    stacked operations act on each model's slice exactly as on one model's
-    arrays, so each result is bit for bit what `train` gives that pair.
+    stopped model leaves the stack with its best-validation snapshot, and
+    its `metrics` give that snapshot's epoch (`best_epoch`, from 0) and
+    SSEs. The stacked operations act on each model's slice exactly as on one
+    model's arrays, so each result is bit for bit what `train` gives that
+    pair.
     When a loss or SSE turns non-finite, the models of that k and of every
     larger k leave the stack and the smaller k train on; at the end
     `NonFiniteLoss` is raised for the smallest k that failed, with the
@@ -635,13 +673,20 @@ def train_stack(
     # One workspace per pass shape, (rows, forward_only): the full and the
     # last batch, and the two SSE passes. The passes run one after another,
     # so their workspaces share one buffer, sized once for the full stack
-    # (the stack only shrinks) and re-carved when it shrinks.
-    passes = {(r, False) for r in (min(bs, n), (n - 1) % bs + 1)} | {(n, True), (ds_valid.n_rows, True)}
-    arena = np.empty(max(Workspace(stack, *shape).size for shape in passes))
+    # (the stack only shrinks) and re-carved when it shrinks. Each epoch's
+    # training rows sit in it after the batch workspaces: the SSE passes,
+    # which may overwrite them, run after the epoch's last step.
+    steps = {(r, False) for r in (min(bs, n), (n - 1) % bs + 1)}
+    passes = steps | {(n, True), (ds_valid.n_rows, True)}
+    rows_at = max(Workspace(stack, *shape).size for shape in steps)
+    train_rows = (xtr, ytr, ttr)
+    sizes = [rows_at + len(nets) * sum(a.size for a in train_rows)] + [Workspace(stack, *shape).size for shape in passes]
+    arena = np.empty(max(sizes))
     spaces = {shape: Workspace(stack, *shape, arena) for shape in passes}
     live = np.arange(len(nets))  # the model behind each stack row
     histories: list[list[tuple[float, float]]] = [[] for _ in nets]
     best_valid = np.full(len(nets), np.inf)
+    best_epoch = np.zeros(len(nets), dtype=np.int64)
     best = stack.flat.copy()
     stall = np.zeros(len(nets), dtype=np.int64)
     failure: NonFiniteLoss | None = None
@@ -670,18 +715,27 @@ def train_stack(
         return np.array([a.k < k for a in stack.archs])
 
     for epoch in range(config.max_epochs):
+        # Each model's training rows in its order for this epoch; the
+        # batches are views of them. A permutation is always in range, so
+        # "clip" changes no row; it only spares a buffered copy.
         perm = np.stack([np.random.default_rng([nets[i].seed, epoch]).permutation(n) for i in live])
+        at, epoch_rows = rows_at, []
+        for a in train_rows:
+            view = arena[at : at + perm.size * math.prod(a.shape[1:])].reshape(perm.shape + a.shape[1:])
+            epoch_rows.append(np.take(a, perm, axis=0, out=view, mode="clip"))
+            at += view.size
+        xe, ye, te = epoch_rows
         for start in range(0, n, bs):
-            rows = perm[:, start : start + bs]
-            batch = (xtr[rows], ytr[rows], ttr[rows])
-            loss, grads = loss_and_gradients(stack, batch, config.ste_clip, spaces[rows.shape[1], False])
+            stop = start + bs
+            batch = (xe[:, start:stop], ye[:, start:stop], te[:, start:stop])
+            loss, grads = loss_and_gradients(stack, batch, config.ste_clip, spaces[min(bs, n - start), False])
             finite = np.isfinite(loss)
             if not finite.all():
                 keep = diverged("loss", epoch, finite)
                 grads = grads[leave(keep)]
                 if not live.size:
                     break
-                perm = perm[keep]
+                xe, ye, te = xe[keep], ye[keep], te[keep]
             adam_step(stack.flat, grads, state, config)
         if not live.size:
             break
@@ -700,6 +754,7 @@ def train_stack(
 
         improved = valid_sse < best_valid[live] - 1e-12
         best_valid[live[improved]] = valid_sse[improved]
+        best_epoch[live[improved]] = epoch
         np.copyto(best, stack.flat, where=improved[stack.owner])
         stall[live] = np.where(improved, 0, stall[live] + 1)
         keep = stall[live] < config.patience
@@ -713,8 +768,10 @@ def train_stack(
     if live.size:
         leave(np.zeros(live.size, dtype=bool))
     results: list = [None] * len(nets)
-    for i, net, history, valid in zip(order, nets, histories, best_valid.tolist()):
-        net.metrics = {"epochs": len(history), "train_sse": history[-1][0], "valid_sse": valid}
+    for i, net, history, epoch in zip(order, nets, histories, best_epoch.tolist()):
+        # The SSEs of the best-validation snapshot, which is the model kept.
+        train_sse, valid_sse = history[epoch]
+        net.metrics = {"epochs": len(history), "best_epoch": epoch, "train_sse": train_sse, "valid_sse": valid_sse}
         results[i] = (net, history)
     return results
 

@@ -135,8 +135,8 @@ class TestExtractReducer:
         net.normalizer = replace(net.normalizer, secret_shift=rng.uniform(-1, 1, 5), secret_denom=rng.uniform(0.5, 2, 5))
         reducer = C.extract_reducer(net)
         x = rng.integers(0, 2, size=(400, 5)).astype(np.float64)
-        cache = N._forward_cache(net.stack, net.normalizer.map_secrets(x)[None], np.zeros((1, 400, net.arch.n_public)))
-        assert np.array_equal(reducer.preactivations(x), cache["iface_preact"][0][0])
+        ws = N._forward_cache(net.stack, net.normalizer.map_secrets(x)[None], np.zeros((1, 400, net.arch.n_public)))
+        assert np.array_equal(reducer.preactivations(x), ws.preact[0][0])
 
     def test_k0_rejected(self):
         arch = N.Architecture(n_secret=2, n_public=2, k=0, joint_widths=(4,))

@@ -563,6 +563,20 @@ class TestLockstep:
             assert history == alone_history
             assert net.metrics == alone.metrics
 
+    def test_metrics_describe_the_saved_weights(self):
+        # The saved weights are each model's best-validation snapshot, so its
+        # metrics are that epoch's SSEs, also for a model stopped by patience.
+        ds = D.gen_rn_preset("R_2", rows=200, noise_std=0.02, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=5)
+        stacked = N.train_stack(tr, va, [N.Architecture(2, 7, 2, (5,), (5,), (10,))] * 3, config, [1, 2, 3])
+        assert any(net.metrics["epochs"] < config.max_epochs for net, _ in stacked)
+        for net, history in stacked:
+            metrics = net.metrics
+            assert metrics["epochs"] == len(history) and metrics["best_epoch"] < len(history) - 1
+            assert history[metrics["best_epoch"]] == (metrics["train_sse"], metrics["valid_sse"])
+            assert metrics["train_sse"] == N.sse(net, tr) and metrics["valid_sse"] == N.sse(net, va)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model overflows
     def test_divergence_names_epoch_and_seed(self, monkeypatch):
         ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
@@ -676,12 +690,21 @@ class TestSweepStack:
 # ---------------------------------------------------------------------------
 
 
+def arrays_in(obj):
+    """Every array held in `obj`, through lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from arrays_in(item)
+
+
 def stack_predictions(stack, xn, yn, ws=None):
     """Predictions and interface bits of a stack whose models share one k, on
     the same (rows, d) inputs, evaluated in `ws` when given."""
     lead = (len(stack.archs),)
-    cache = N._forward_cache(stack, np.broadcast_to(xn, lead + xn.shape), np.broadcast_to(yn, lead + yn.shape), ws)
-    return cache["t_hat"], np.concatenate(cache["bits"])
+    ws = N._forward_cache(stack, np.broadcast_to(xn, lead + xn.shape), np.broadcast_to(yn, lead + yn.shape), ws)
+    return ws.t_hat, np.concatenate(ws.bits)
 
 
 class TestWorkspace:
@@ -709,3 +732,38 @@ class TestWorkspace:
         stack_sizes = {models for models, _ in bits_seen}
         assert len(stack_sizes) > 1  # the stack shrank
         assert any(len(states) > 1 for states in bits_seen.values())  # the bits moved between passes
+
+    def test_bound_step_on_every_layer_shape(self, monkeypatch):
+        # k = 0 rows first, two secret layers, no public hidden layer and two
+        # joint hidden layers. On the full and the short last batch, before
+        # and after the stack shrinks, each model's loss and gradients equal
+        # the per-array reference bit for bit, and the workspaces rebuilt
+        # for a smaller stack bind none of the old stack's parameters.
+        ds = D.gen_rn_preset("R_2", rows=220, noise_std=0.02, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        archs = [N.Architecture(2, 7, k, (6, 4), (), (8, 5)) for k in (0, 0, 1, 2, 2)]
+        config = quick_config(learning_rate=0.02, ste_clip=1.0, max_epochs=40, patience=3)
+        real = N.loss_and_gradients
+        checked, flats = set(), []
+
+        def checked_step(stack, batch, ste_clip, ws):
+            if not flats or flats[-1] is not stack.flat:
+                held = list(arrays_in(list(vars(ws).values())))
+                assert not any(np.shares_memory(a, old) for a in held for old in flats)
+                flats.append(stack.flat)
+            loss, grad = real(stack, batch, ste_clip, ws)
+            shape = (len(stack.archs), batch[2].shape[1])
+            if shape not in checked:
+                checked.add(shape)
+                for row, arch in enumerate(stack.archs):
+                    mine = stack.owner == row
+                    net = N.TriBranchNetwork(arch, stack.flat[mine].copy())
+                    ref_loss, ref_grads = reference_loss_and_gradients(LooseNet(net), tuple(a[row] for a in batch), ste_clip)
+                    assert loss[row] == ref_loss
+                    assert all(g.tobytes() == r.tobytes() for g, r in zip(split_like(net, grad[mine]), ref_grads))
+            return loss, grad
+
+        monkeypatch.setattr(N, "loss_and_gradients", checked_step)
+        N.train_stack(tr, va, archs, config, [1, 2, 3, 4, 5])
+        assert {rows for _, rows in checked} == {32, tr.n_rows % 32} and tr.n_rows % 32
+        assert len({models for models, _ in checked}) > 1  # the stack shrank
