@@ -16,12 +16,13 @@ off: `ReducerNet.tie_tolerance`, `TIE_RTOL` times the magnitude of the
 terms summed into each pre-activation. Bounds fix a bit only beyond it, and
 the enumeration kernel `_tally` decides the points inside it again in
 `fractions.Fraction`, so no count depends on batching or summation order.
-`_tally` lists the points of a box as rows times a grid and builds the
-first layer from a row table and a grid table, running the other layers on
-(units, points) matrices. The reducer's float evaluator
-`network.secret_branch` runs the same layer steps as training and
-prediction, and the `extract_reducer` self-check compares float with
-float.
+`_tally` lists the points of a box as rows times a grid, writes the first
+layer as one batched K = 2 product of a row table `[R | 1]` and a grid table
+`[1 ; G]`, and runs the other layers on (units, points) matrices with a
+trailing row of ones, so each bias is added inside its layer's product.
+The reducer's float evaluator `network.secret_branch` runs the same layer
+steps as training and prediction, and the `extract_reducer` self-check
+compares float with float.
 """
 
 from __future__ import annotations
@@ -181,14 +182,17 @@ class ReducerNet:
 
 class EvalBuffers:
     """What the table kernel keeps for one reducer across its calls: the
-    reducer's tie tolerance and the arrays a step of up to `rows` points
-    writes, one flat array per layer (hidden layers, then the interface) of
-    its width times `rows`. A step overwrites the part it reads, so the
-    arrays carry nothing from one step to the next."""
+    reducer's tie tolerance, each layer after the first as `[W | b]`, and
+    the (width, `rows`) matrices a step of up to `rows` points writes, one
+    per layer (hidden layers, then the interface). A hidden layer's matrix
+    has a trailing row of ones, so the next layer's product adds its bias.
+    A step overwrites the columns it reads, so the arrays carry nothing from
+    one step to the next."""
 
     def __init__(self, reducer: ReducerNet, rows: int):
         self.tol = reducer.tie_tolerance
-        self.layers = [np.empty(len(b) * rows) for _, b in reducer.layers]
+        self.folded = [np.hstack([w, b[:, None]]) for w, b in reducer.layers[1:]]
+        self.layers = [np.ones((len(b) + 1, rows)) for _, b in reducer.hidden] + [np.empty((reducer.k, rows))]
 
 
 def valuation_label(v: int, k: int) -> str:
@@ -365,17 +369,21 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuf
     `block` points). The first layer is affine, so its pre-activation at
     row point r plus grid offset g is the sum of two tables:
     R[:, r] = W1 (r - shift) / denom + b1, built per step, and
-    G[:, g] = W1 g / denom, built once per shape. The other layers run on
-    (units, points) matrices of at most `block` points per step, written
-    into `bufs` (new buffers when none are given). A pre-activation within
-    the reducer's `tie_tolerance` of zero may have the wrong sign in float,
-    so the valuations of those points are decided again in exact arithmetic;
-    the counts are those of exact arithmetic, whatever the blocks.
+    G[:, g] = W1 g / denom, built once per shape. Each unit's sum is one
+    K = 2 product `[R | 1] @ [1 ; G]`, batched over units, which rounds
+    exactly as `R + G` does and runs faster than numpy's broadcast add. The
+    other layers run on (units, points) matrices of at most `block` points
+    per step, written into `bufs` (new buffers when none are given); each
+    hidden matrix ends in a row of ones, so `[W | b]` adds the bias inside
+    the product. A pre-activation within the reducer's `tie_tolerance` of
+    zero may have the wrong sign in float, so the valuations of those points
+    are decided again in exact arithmetic; the counts are those of exact
+    arithmetic, whatever the blocks.
     """
     los = np.atleast_2d(np.asarray(los, dtype=np.int64))
     sizes = np.atleast_2d(np.asarray(his, dtype=np.int64)) - los + 1
     d = los.shape[1]
-    (w1, b1), *rest = reducer.layers
+    w1, b1 = reducer.layers[0]
     shift, denom = reducer.input_shift, reducer.input_denom
     pow2 = 2.0 ** np.arange(reducer.k - 1, -1, -1)
     tally = np.zeros(2**reducer.k, dtype=np.int64)
@@ -393,23 +401,24 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuf
         grid_shape[: d - n_grid] = 1
         row_shape[d - n_grid :] = 1
         grid = _offsets(grid_shape, np.arange(math.prod(grid_shape.tolist())))
-        g_table = w1 @ (grid / denom).T
+        grid_table = np.ones((len(b1), 2, len(grid)))
+        np.matmul(w1, (grid / denom).T, out=grid_table[:, 1])
         rows_per_box = math.prod(row_shape.tolist())
         n_rows = len(box_lo) * rows_per_box
         step = max(1, block // len(grid))
+        row_table = np.ones((len(b1), min(step, n_rows), 2))
         for start in range(0, n_rows, step):
             r = np.arange(start, min(start + step, n_rows))
             row_lo = box_lo[r // rows_per_box]
             if rows_per_box > 1:
                 row_lo += _offsets(row_shape, r % rows_per_box)
             n = len(r) * len(grid)
-            h = bufs.layers[0][: len(b1) * n].reshape(len(b1), len(r), len(grid))
-            np.add((w1 @ ((row_lo - shift) / denom).T + b1[:, None])[:, :, None], g_table[:, None, :], out=h)
-            h = h.reshape(len(b1), n)
-            for (w, b), buf in zip(rest, bufs.layers[1:]):
-                np.maximum(h, 0.0, out=h)
-                h = np.matmul(w, h, out=buf[: len(b) * n].reshape(len(b), n))
-                h += b[:, None]
+            h = bufs.layers[0][: len(b1), :n]
+            np.add(w1 @ ((row_lo - shift) / denom).T, b1[:, None], out=row_table[:, : len(r), 0])
+            np.matmul(row_table[:, : len(r)], grid_table, out=h.reshape(len(b1), len(r), len(grid)))
+            for wb, prev, buf in zip(bufs.folded, bufs.layers, bufs.layers[1:]):
+                np.maximum(prev[:, :n], 0.0, out=prev[:, :n])
+                h = np.matmul(wb, prev[:, :n], out=buf[: len(wb), :n])
             vals = (pow2 @ interface_bits(h)).astype(np.intp)
             # Ties are rare: each bit's smallest |pre-activation| rules them out first.
             np.abs(h, out=h)
@@ -509,6 +518,8 @@ def bnb_census(
     """
     if cap < 1:
         raise CounterError("cap must be >= 1")
+    if budget < 1:
+        raise CounterError("budget must be >= 1")
     if dom.n_features != reducer.n_features:
         raise CounterError("domain does not match reducer input width")
     # No count exceeds the domain size, so counts saturate at the cap or just
@@ -551,7 +562,8 @@ def bnb_census(
             take = min(FRONTIER_BLOCK, max(1, nodes - outcomes[3]), budget - nodes)
         los, his = stack.pop()
         if len(los) > take:
-            stack.append((los[take:], his[take:]))
+            # Copies, so the popped arrays are freed when the block is done.
+            stack.append((los[take:].copy(), his[take:].copy()))
             los, his = los[:take], his[:take]
         nodes += len(los)
 

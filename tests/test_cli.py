@@ -356,6 +356,18 @@ class TestErrorPaths:
         assert err.startswith(f"error: model {field}") and err.count("\n") == 1
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--cap", "0"), ("--budget", "0"), ("--budget", "-5")], ids=["cap-0", "budget-0", "budget-negative"]
+    )
+    def test_bad_census_limit_analyze_exits_4(self, artifacts, tmp_path, capsys, flag, value):
+        # A budget below 1 used to exit 0 with an incomplete census in which
+        # every class read "infeasible".
+        _, sweep_dir, _, _ = artifacts
+        rc = main(["analyze", "--model", str(sweep_dir / "models/k1.json"), flag, value, "--out", str(tmp_path / "c.json")])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 1\n"
+        assert not (tmp_path / "c.json").exists()
+
     def test_missing_census_report(self, tmp_path):
         rc = main(
             ["report", "--census", str(tmp_path / "no.json"), "--sweep", str(tmp_path / "no2.json"), "--out", str(tmp_path / "r.json")]

@@ -195,9 +195,40 @@ class TestTally:
             assert C._tally(reducer, los, his, block=block).tolist() == expected
         assert np.count_nonzero(expected) > 1
 
+    def test_large_biases_near_a_tie(self, rng):
+        # Biases about 1e6 times the weights put the pre-activations near
+        # 1e6, where a bias added inside a product may round differently
+        # from one added after it. The interface biases put one point on the
+        # threshold to within float rounding, and the 64 points that differ
+        # from it only in the six zero-weight features sit there with it, so
+        # each valuation is that of a point with those features at 0, 64
+        # times over. At `ENUM_BLOCK` the 12 binary features make a grid of
+        # exactly `ENUM_BLOCK` points, one row per step, as brute force
+        # lists them.
+        points = np.array(box_points((0,) * 13, (1,) * 13))
+        xs = points.astype(np.float64)
+        for _ in range(4):
+            w1 = rng.normal(size=(7, 13))
+            w1[:, 7:] = 0.0
+            reducer = C.ReducerNet(
+                input_shift=np.zeros(13),
+                input_denom=np.ones(13),
+                hidden=((w1, 1e6 * np.abs(rng.normal(size=7))),),
+                iface_w=np.abs(rng.normal(size=(2, 7))),
+                iface_b=np.zeros(2),
+                domains=(D.IntRange(0, 1),) + (D.Binary(),) * 12,
+            )
+            reducer.iface_b[...] = -reducer.preactivations(xs)[int(rng.integers(len(points)))]
+            assert np.abs(reducer.iface_b).min() > 1e5
+            ties = (np.abs(reducer.preactivations(xs)) < reducer.tie_tolerance).all(axis=1)
+            assert ties.sum() >= 64
+            counts = (64 * np.bincount(reducer.exact_valuations(points[::64]), minlength=4)).tolist()
+            for block in (1, 7, 64, C.ENUM_BLOCK):
+                assert C._tally(reducer, (0,) * 13, (1,) * 13, block=block).tolist() == counts
+
     def test_points_per_evaluation_are_bounded(self, rng):
-        # A step writes at most `block` points into buffers of `block` rows
-        # (a larger step could not be reshaped into them), and what else the
+        # A step writes at most `block` points into buffers of `block`
+        # columns (a larger step would not fit them), and what else the
         # kernel allocates does not grow with the boxes: ten times the
         # points, 82,082 of them, whose (points, d) matrix alone would take
         # about 2 MB, leave the peak where it was, a few kilobytes.
@@ -209,7 +240,7 @@ class TestTally:
             los = np.array([[-lo, 0, -20], [0, 1, 3], [1, 0, -2]])
             his = np.array([[lo, 1, 20], [0, 1, 9], [4, 1, 3]])
             bufs = C.EvalBuffers(reducer, 64)
-            assert [len(buf) for buf in bufs.layers] == [8 * 64, 3 * 64]
+            assert [buf.shape for buf in bufs.layers] == [(8 + 1, 64), (3, 64)]
             C._tally(reducer, los[:1], his[:1], block=64, bufs=bufs)  # first-call caches
             tracemalloc.start()
             try:
@@ -533,6 +564,12 @@ class TestBnb:
         dom = C.SecretDomain(los=(0, 0), his=(1, 1))
         with pytest.raises(C.CounterError):
             C.bnb_census(and_gate_reducer, dom, cap=0)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_bad_budget(self, and_gate_reducer, budget):
+        dom = C.SecretDomain(los=(0, 0), his=(1, 1))
+        with pytest.raises(C.CounterError, match="budget must be >= 1"):
+            C.bnb_census(and_gate_reducer, dom, cap=4, budget=budget)
 
 
 class TestFeasibleClasses:
