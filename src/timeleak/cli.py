@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, counter, dataset, network, quantifier, sweep as sweep_mod
-from .jsonio import canonical_dumps, hash_file, read_json, sha256_hex, write_json
+from .jsonio import FieldError, canonical_dumps, get, hash_file, read_json, sha256_hex, write_json
 from .svgplot import line_plot
 
 _EXIT_CODES = {"gen": 2, "sweep": 3, "train": 3, "analyze": 4, "report": 5}
@@ -401,12 +401,9 @@ def main(argv=None) -> int:
             return 2
         del argv[idx : idx + 2]
         try:
-            overrides = read_json(config_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read --config {config_path}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(overrides, dict):
-            print(f"error: --config {config_path} must hold a JSON object", file=sys.stderr)
+            overrides = get({"--config": read_json(config_path)}, "--config", dict)
+        except FieldError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         for subparser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
             known = {a.dest: a for a in subparser._actions}

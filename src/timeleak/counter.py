@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Binary, Domain, FeatureSchema
+from .jsonio import FieldError, get
 from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch
 
 BRUTE_FORCE_LIMIT = 2**20
@@ -290,48 +291,37 @@ class ClassCensus:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClassCensus":
-        if not isinstance(obj, dict) or obj.get("format") != "timeleak-census" or obj.get("version") != 1:
-            raise CounterError("not a census file (or unsupported version)")
-        k, cap, classes = obj.get("k"), obj.get("cap"), obj.get("classes")
-        if type(k) is not int or k < 0:
-            raise CounterError(f"census k must be a non-negative integer, got {k!r}")
-        if cap is not None and (type(cap) is not int or cap < 1):
-            raise CounterError(f"census cap must be a positive integer or null, got {cap!r}")
-        complete, nodes, outcomes = obj.get("complete", True), obj.get("nodes", 0), obj.get("node_outcomes")
-        if type(complete) is not bool:
-            raise CounterError(f"census complete must be true or false, got {complete!r}")
-        if type(nodes) is not int:
-            raise CounterError(f"census nodes must be an integer, got {nodes!r}")
-        # Checked before anything of size 2^k is built: n must be exactly 2^k.
-        n = len(classes) if isinstance(classes, list) else -1
-        if n < 1 or n & (n - 1) or n.bit_length() != k + 1:
-            raise CounterError(f"census with k={k} must list 2^{k} classes, found {max(n, 0)}")
         try:
-            for v, entry in enumerate(classes):
-                if entry["valuation"] != valuation_label(v, k):
-                    raise ValueError(f"class {v} has valuation {entry['valuation']!r}")
-            counts = [entry["count"] for entry in classes]
-            if any(type(c) is not int or c < 0 or (cap is not None and c > cap) for c in counts):
-                raise ValueError("a class count is not an integer, or is negative or above the cap")
+            if get(obj, "format", default=None) != "timeleak-census" or get(obj, "version", int, default=None) != 1:
+                raise CounterError("not a census file (or unsupported version)")
+            k, cap = get(obj, "k", int, lo=0), get(obj, "cap", int, type(None), lo=1)
+            complete, nodes = get(obj, "complete", bool, default=True), get(obj, "nodes", int, lo=0, default=0)
+            outcomes = get(obj, "node_outcomes", dict, type(None), default=None)
             if outcomes is not None:
-                outcomes = NodeOutcomes(**outcomes)
-                if any(type(c) is not int for c in outcomes):
-                    raise ValueError(f"node outcomes {outcomes._asdict()} are not all integers")
-            census = cls(
-                k=k,
-                cap=cap,
-                counts=tuple(counts),
-                cap_hits=tuple(entry["status"] == "cap_hit" for entry in classes),
-                complete=complete,
-                nodes=nodes,
-                node_outcomes=outcomes,
-            )
-            for v, entry in enumerate(classes):
-                if entry["status"] != census.status(v):
-                    raise ValueError(f"class {v} has status {entry['status']!r} with count {counts[v]}")
+                outcomes = NodeOutcomes(*(get(outcomes, f, int, lo=0, where="node_outcomes") for f in NodeOutcomes._fields))
+                if sum(outcomes) != nodes:
+                    raise FieldError(f"node_outcomes sum to {sum(outcomes)}, not to nodes = {nodes}")
+            # Checked before anything of size 2^k is built: n must be exactly 2^k.
+            classes = get(obj, "classes", list)
+            n = len(classes)
+            if n < 1 or n & (n - 1) or n.bit_length() != k + 1:
+                raise FieldError(f"with k={k} must list 2^{k} classes, found {n}")
+            counts, statuses = [], []
+            for v in range(n):
+                entry, where = get(classes, v, dict, where="classes"), f"classes[{v}]"
+                if get(entry, "valuation", str, where=where) != valuation_label(v, k):
+                    raise FieldError(f"{where}.valuation must be {valuation_label(v, k)!r}, got {entry['valuation']!r}")
+                counts.append(get(entry, "count", int, lo=0, hi=cap, where=where))
+                statuses.append(get(entry, "status", str, where=where))
+                if statuses[-1] == "cap_hit" and counts[-1] != cap:
+                    raise FieldError(f"{where}.count of a cap_hit class must be the cap {cap}, got {counts[-1]}")
+            census = cls(k, cap, tuple(counts), tuple(s == "cap_hit" for s in statuses), complete, nodes, outcomes)
+            for v, status in enumerate(statuses):
+                if status != census.status(v):
+                    raise FieldError(f"classes[{v}].status is {status!r} with count {counts[v]}")
             return census
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CounterError(f"census file is malformed: {exc!r}") from None
+        except FieldError as exc:
+            raise CounterError(f"census {exc}") from None
 
 
 def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> ClassCensus:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import operator
 import warnings
@@ -19,6 +18,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .jsonio import FieldError, get, read_json
 
 # Offset added to generated times so multiplicative noise acts on a positive base.
 GEN_BASE_TIME = 10.0
@@ -194,21 +195,6 @@ def _domain_to_json(dom: Domain):
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _domain_from_json(obj) -> Domain:
-    if obj == "binary":
-        return Binary()
-    if isinstance(obj, dict) and "int" in obj:
-        bounds = obj["int"]
-        if not (
-            isinstance(bounds, list)
-            and len(bounds) == 2
-            and all(type(v) is int and INT64_MIN <= v <= INT64_MAX for v in bounds)
-        ):
-            raise DatasetError(f"int domain must be [lo, hi], two integers within int64, got {bounds!r}")
-        return IntRange(*bounds)
-    raise DatasetError(f"unrecognized domain descriptor: {obj!r}")
-
-
 def schema_to_json(schema: FeatureSchema) -> dict:
     return {
         "secret": [{"name": n, "domain": _domain_to_json(d)} for n, d in schema.secret_features],
@@ -217,17 +203,30 @@ def schema_to_json(schema: FeatureSchema) -> dict:
     }
 
 
-def _secret_feature_from_json(entry) -> tuple[str, Domain]:
+def _secret_feature_from_json(secret: list, i: int) -> tuple[str, Domain]:
+    """Entry i of `secret`: a name, and the domain "binary" or {"int": [lo, hi]}."""
+    entry, where = get(secret, i, dict, where="secret"), f"secret[{i}]"
+    name, dom = get(entry, "name", str, where=where), get(entry, "domain", where=where)
+    if dom == "binary":
+        return name, Binary()
+    bounds = get(dom, "int", where=f"{where}.domain")
     try:
-        return entry["name"], _domain_from_json(entry["domain"])
-    except DatasetError as exc:
-        raise DatasetError(f"secret feature {entry['name']!r}: {exc}") from None
+        lo, hi = (get(bounds, j, int, lo=INT64_MIN, hi=INT64_MAX) for j in (0, 1))
+        if len(bounds) == 2:
+            return name, IntRange(lo, hi)
+    except (FieldError, DatasetError):
+        pass
+    must = "[lo, hi], two integers within int64 with lo < hi"
+    raise FieldError(f"secret feature {name!r}: int domain must be {must}, got {bounds!r:.60}")
 
 
 def schema_from_json(obj: dict) -> FeatureSchema:
-    secret = tuple(_secret_feature_from_json(e) for e in obj.get("secret", []))
-    public = tuple(obj.get("public", []))
-    return FeatureSchema(secret, public, obj.get("time_unit", "seconds"))
+    """The schema of a trace sidecar, or of a model's `schema` object. A
+    malformed field raises `FieldError` naming its path."""
+    secret, public = get(obj, "secret", list, default=[]), get(obj, "public", list, default=[])
+    secret = tuple(_secret_feature_from_json(secret, i) for i in range(len(secret)))
+    public = tuple(get(public, i, str, where="public") for i in range(len(public)))
+    return FeatureSchema(secret, public, get(obj, "time_unit", str, default="seconds"))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +276,11 @@ def load_csv(path, sidecar=None) -> TraceDataset:
 
     schema_override = None
     if sidecar is not None:
-        with Path(sidecar).open(encoding="utf-8") as fh:
-            schema_override = schema_from_json(json.load(fh))
+        obj = read_json(sidecar)
+        try:
+            schema_override = schema_from_json(obj)
+        except FieldError as exc:
+            raise DatasetError(f"sidecar {Path(sidecar).name} {exc}") from None
         declared = [n for n, _ in schema_override.secret_features]
         if declared != [n for _, n in secret_cols]:
             raise DatasetError(f"sidecar secret features {declared} do not match columns")

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +31,7 @@ from .dataset import (
     schema_from_json,
     schema_to_json,
 )
+from .jsonio import FieldError, get, numbers, read_json, write_json
 
 MODEL_FORMAT = "timeleak-model"
 MODEL_VERSION = 1
@@ -841,102 +840,61 @@ def to_json(net: TriBranchNetwork) -> dict:
     }
 
 
-def _is_int(value, lo: int) -> bool:
-    """A JSON integer (not a bool) of at least `lo`."""
-    return type(value) is int and value >= lo
-
-
 def _architecture_from_json(a) -> Architecture:
-    if not isinstance(a, dict):
-        raise ModelFormatError("model architecture is missing or not an object")
-    for name, lo, hi in (("n_secret", 0, None), ("n_public", 0, None), ("k", 0, MAX_K)):
-        value = a.get(name)
-        if not _is_int(value, lo) or (hi is not None and value > hi):
-            bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
-            raise ModelFormatError(f"model architecture.{name} must be an integer {bound}, got {value!r}")
+    bounds = (("n_secret", None), ("n_public", None), ("k", MAX_K))
+    ints = [get(a, name, int, lo=0, hi=hi, where="architecture") for name, hi in bounds]
+    widths = []
     for name in ("secret_widths", "public_widths", "joint_widths"):
-        widths = a.get(name)
-        if not isinstance(widths, list) or not all(_is_int(w, 1) for w in widths):
-            raise ModelFormatError(f"model architecture.{name} must be a list of integers >= 1, got {widths!r}")
+        ws = get(a, name, list, where="architecture")
+        widths.append(tuple(get(ws, i, int, lo=1, where=f"architecture.{name}") for i in range(len(ws))))
     try:
-        return Architecture(
-            a["n_secret"], a["n_public"], a["k"], tuple(a["secret_widths"]), tuple(a["public_widths"]), tuple(a["joint_widths"])
-        )
+        return Architecture(*ints, *widths)
     except DimensionMismatch as exc:
-        raise ModelFormatError(f"model architecture: {exc}") from None
+        raise FieldError(f"architecture: {exc}") from None
 
 
-def _stored_layers(weights, arch: Architecture) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (w, b) arrays of the `weights` object in canonical layer order,
-    each checked against the architecture's shape."""
-    if not isinstance(weights, dict):
-        raise ModelFormatError("model weights must be an object")
+def _stored_arrays(weights, arch: Architecture) -> list[np.ndarray]:
+    """The w and b arrays of the `weights` object in canonical layer order,
+    each checked against the architecture's shape and for finite values."""
     named = []
     for group in ("secret", "iface", "public", "joint", "out"):
-        value = weights.get(group)
         if group in ("iface", "out"):
-            if value is not None or group == "out":  # a k = 0 model has no interface
-                named.append((f"weights.{group}", value))
-        elif isinstance(value, list):
-            named += [(f"weights.{group}[{i}]", layer) for i, layer in enumerate(value)]
+            layer = get(weights, group, default=None)
+            if layer is not None or group == "out":  # a k = 0 model has no interface
+                named.append((f"weights.{group}", layer))
         else:
-            raise ModelFormatError(f"model weights.{group} must be a list of layers, got {type(value).__name__}")
-    shapes = [(n_out, n_in) for n_out, n_in, _ in _layout(arch)[0]]
-    if len(named) != len(shapes):
-        raise ModelFormatError(f"model weights hold {len(named)} layers, the architecture has {len(shapes)}")
-    layers = []
-    for (name, layer), (n_out, n_in) in zip(named, shapes):
-        if not isinstance(layer, dict):
-            raise ModelFormatError(f"model {name} must be an object with w and b")
-        arrays = []
+            named += [(f"weights.{group}[{i}]", item) for i, item in enumerate(get(weights, group, list, where="weights"))]
+    layout = _layout(arch)[0]
+    if len(named) != len(layout):
+        raise FieldError(f"weights hold {len(named)} layers, the architecture has {len(layout)}")
+    arrays = []
+    for (name, layer), (n_out, n_in, _) in zip(named, layout):
         for key, shape in (("w", (n_out, n_in)), ("b", (n_out,))):
-            arr = _number_array(layer.get(key), shape)
-            if arr is None:
-                raise ModelFormatError(f"model {name}.{key} must be an array of numbers of shape {shape}")
-            arrays.append(arr)
-        layers.append(tuple(arrays))
-    return layers
-
-
-def _number_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
-    """`value` as a float64 array if it holds JSON numbers (not bools) in
-    this shape, else None."""
-    try:
-        arr = np.asarray(value)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if arr.dtype.kind not in "if" or arr.shape != shape:
-        return None
-    return arr.astype(np.float64)
+            arrays.append(numbers(get(layer, key, where=name), shape))
+            if arrays[-1] is None:
+                raise FieldError(f"{name}.{key} must be an array of numbers of shape {shape}")
+            if not np.isfinite(arrays[-1]).all():
+                raise FieldError("weights are not all finite")
+    return arrays
 
 
 def _normalizer_from_json(obj, arch: Architecture) -> Normalizer:
     """The `normalizer` object, each field checked against the architecture.
     `fit_normalizer` writes only positive scales and denominators."""
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"model normalizer must be an object, got {type(obj).__name__}")
     fields = {}
-    for name, n, per in (
-        ("secret_shift", arch.n_secret, "secret feature"),
-        ("secret_denom", arch.n_secret, "secret feature"),
-        ("public_shift", arch.n_public, "public feature"),
-        ("public_scale", arch.n_public, "public feature"),
-        ("time_shift", None, None),
-        ("time_scale", None, None),
-    ):
+    for name, n in (("secret_shift", arch.n_secret), ("secret_denom", arch.n_secret), ("public_shift", arch.n_public),
+                    ("public_scale", arch.n_public), ("time_shift", None), ("time_scale", None)):
         if name not in obj:
-            raise ModelFormatError(f"model normalizer {name} is missing")
-        vector = n is not None
-        arr = _number_array(obj[name], (n,) if vector else ())
+            raise FieldError(f"normalizer {name} is missing")
+        arr = numbers(obj[name], () if n is None else (n,))
         if arr is None:
-            must = f"hold {n} values, one per {per}" if vector else "be a number"
-            raise ModelFormatError(f"model normalizer {name} must {must}, got {obj[name]!r:.40}")
+            must = "be a number" if n is None else f"hold {n} values, one per {name.split('_')[0]} feature"
+            raise FieldError(f"normalizer {name} must {must}, got {obj[name]!r:.40}")
         if not np.isfinite(arr).all():
-            raise ModelFormatError(f"model normalizer values are not all finite: {name}")
-        if name in ("secret_denom", "public_scale", "time_scale") and not (arr > 0).all():
-            must = "values must all be" if vector else "must be"
-            raise ModelFormatError(f"model normalizer {name} {must} > 0")
-        fields[name] = arr if vector else float(arr)
+            raise FieldError(f"normalizer values are not all finite: {name}")
+        if name.endswith(("denom", "scale")) and not (arr > 0).all():
+            raise FieldError(f"normalizer {name} {'must be' if n is None else 'values must all be'} > 0")
+        fields[name] = float(arr) if n is None else arr
     return Normalizer(**fields)
 
 
@@ -944,44 +902,38 @@ def from_json(obj: dict) -> TriBranchNetwork:
     """A model from its JSON object. Every field is checked before any array
     of the architecture's size is allocated; a malformed file raises
     `ModelFormatError` naming the field."""
-    if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
-        raise SchemaVersionMismatch("not a timeleak model file")
-    if obj.get("version") != MODEL_VERSION:
-        raise SchemaVersionMismatch(f"unsupported model version {obj.get('version')!r}")
-    arch = _architecture_from_json(obj.get("architecture"))
-    stored = _stored_layers(obj.get("weights"), arch)
-    schema = None
-    if obj.get("schema"):
-        try:
-            schema = schema_from_json(obj["schema"])
-        except (DatasetError, KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ModelFormatError(f"model schema is malformed: {exc}") from None
-        if (schema.n_secret, schema.n_public) != (arch.n_secret, arch.n_public):
-            raise ModelFormatError("model schema features do not match architecture.n_secret / n_public")
-    seed = obj.get("seed", 0)
-    if not _is_int(seed, 0):
-        raise ModelFormatError(f"model seed must be an integer >= 0, got {seed!r}")
-
-    flat = np.empty(parameter_count(arch))
-    for (vw, vb), (lw, lb) in zip(layer_views(arch, flat), stored):
-        vw[...] = lw
-        vb[...] = lb
-    if not np.isfinite(flat).all():
-        raise ModelFormatError("model weights are not all finite")
-    normalizer = None if obj.get("normalizer") is None else _normalizer_from_json(obj["normalizer"], arch)
-    return TriBranchNetwork(arch, flat, normalizer=normalizer, schema=schema, seed=seed, metrics=obj.get("metrics"))
+    try:
+        if get(obj, "format", default=None) != MODEL_FORMAT:
+            raise SchemaVersionMismatch("not a timeleak model file")
+        if (version := get(obj, "version", int, default=None)) != MODEL_VERSION:
+            raise SchemaVersionMismatch(f"unsupported model version {version!r}")
+        arch = _architecture_from_json(get(obj, "architecture", dict))
+        arrays = _stored_arrays(get(obj, "weights", dict), arch)
+        schema = get(obj, "schema", dict, type(None), default=None) or None
+        if schema is not None:
+            try:
+                schema = schema_from_json(schema)
+            except (FieldError, DatasetError) as exc:
+                raise FieldError(f"schema: {exc}") from None
+            if (schema.n_secret, schema.n_public) != (arch.n_secret, arch.n_public):
+                raise FieldError("schema features do not match architecture.n_secret / n_public")
+        normalizer = get(obj, "normalizer", dict, type(None), default=None)
+        if normalizer is not None:
+            normalizer = _normalizer_from_json(normalizer, arch)
+        seed, metrics = get(obj, "seed", int, lo=0, default=0), get(obj, "metrics", dict, type(None), default=None)
+    except FieldError as exc:
+        raise ModelFormatError(f"model {exc}") from None
+    flat = np.concatenate([a.ravel() for a in arrays])  # the layout of `_layout`
+    return TriBranchNetwork(arch, flat, normalizer=normalizer, schema=schema, seed=seed, metrics=metrics)
 
 
 def save(net: TriBranchNetwork, path) -> None:
-    from .jsonio import write_json
-
     write_json(path, to_json(net))
 
 
 def load(path) -> TriBranchNetwork:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        obj = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+        obj = read_json(path)
+    except FieldError as exc:
+        raise ModelFormatError(str(exc)) from None
     return from_json(obj)

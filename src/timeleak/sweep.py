@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .dataset import TraceDataset, split
+from .jsonio import FieldError, get
 from .network import (
     Architecture,
     NonFiniteLoss,
@@ -39,14 +40,6 @@ class Verdict:
     @property
     def label(self) -> str:
         return f"LeakDetected(k={self.k_star})" if self.leak else "NoLeakDetected"
-
-
-def _json_field(obj: dict, key: str, types: tuple[type, ...]):
-    """obj[key], whose exact type must be one of `types` (so a bool is no int)."""
-    value = obj[key]
-    if type(value) not in types:
-        raise TypeError(f"{key} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -101,26 +94,29 @@ class SweepResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepResult":
-        if not isinstance(obj, dict) or obj.get("format") != "timeleak-sweep" or obj.get("version") != 1:
-            raise SweepError("not a sweep file (or unsupported version)")
         try:
-            records = tuple(
-                KRecord(
-                    k=_json_field(r, "k", (int,)),
-                    test_sse=float(_json_field(r, "test_sse", (int, float))),
-                    test_r2=float(_json_field(r, "test_r2", (int, float))),
-                    max_abs_residual=float(_json_field(r, "max_abs_residual", (int, float))),
-                    seed=_json_field(r, "seed", (int,)),
-                    model_path=_json_field({"model_path": None, **r}, "model_path", (str, type(None))),
-                )
-                for r in obj["records"]
-            )
-            k_star = _json_field(obj, "k_star", (int,))
-            tau = float(_json_field(obj, "tau", (int, float)))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise SweepError(f"malformed sweep file: {exc!r}") from None
+            if get(obj, "format", default=None) != "timeleak-sweep" or get(obj, "version", int, default=None) != 1:
+                raise SweepError("not a sweep file (or unsupported version)")
+            records = get(obj, "records", list)
+            records = tuple(_record_from_json(records, i) for i in range(len(records)))
+            k_star, tau = get(obj, "k_star", int), get(obj, "tau", float)
+        except FieldError as exc:
+            raise SweepError(f"sweep {exc}") from None
+        _check_tau(tau)
         verdict = Verdict(leak=k_star >= 1, k_star=k_star)
         return cls(records=records, k_star=k_star, tau=tau, verdict=verdict)
+
+
+def _record_from_json(records: list, i: int) -> KRecord:
+    r, where = get(records, i, dict, where="records"), f"records[{i}]"
+    return KRecord(
+        k=get(r, "k", int, where=where),
+        test_sse=get(r, "test_sse", float, lo=0, where=where),
+        test_r2=get(r, "test_r2", float, where=where),
+        max_abs_residual=get(r, "max_abs_residual", float, lo=0, where=where),
+        seed=get(r, "seed", int, lo=0, hi=2**32 - 1, where=where),  # as `derive_seed` makes them
+        model_path=get(r, "model_path", str, type(None), where=where, default=None),
+    )
 
 
 def _check_tau(tau: float) -> None:

@@ -164,10 +164,12 @@ class TestPipeline:
             {"nodes": 1.5},
             {"nodes": True},
             lambda census: {"node_outcomes": {**census["node_outcomes"], "split": census["node_outcomes"]["split"] + 0.5}},
+            {"nodes": -1},
+            lambda census: edit_first(census, "classes", status="cap_hit", count=census["cap"] - 1),
         ],
         ids=[
             "k40", "negative-k", "no-classes", "classes-not-a-list", "count-float", "complete-string",
-            "nodes-float", "nodes-bool", "outcome-float",
+            "nodes-float", "nodes-bool", "outcome-float", "nodes-negative", "cap-hit-below-cap",
         ],
     )
     def test_report_malformed_census_exits_5(self, artifacts, tmp_path, capsys, edit):
@@ -193,10 +195,13 @@ class TestPipeline:
             lambda sweep: edit_first(sweep, "records", seed=sweep["records"][0]["seed"] + 0.5),
             lambda sweep: edit_first(sweep, "records", test_sse=str(sweep["records"][0]["test_sse"])),
             lambda sweep: edit_first(sweep, "records", model_path=5),
+            lambda sweep: edit_first(sweep, "records", seed=-1),
+            lambda sweep: edit_first(sweep, "records", test_sse=float("nan")),
+            {"tau": 5.0},
         ],
         ids=[
             "records-null", "record-fields", "tau", "k-star-outside", "format", "k-star-float", "tau-bool",
-            "seed-float", "sse-string", "model-path-number",
+            "seed-float", "sse-string", "model-path-number", "seed-negative", "sse-nan", "tau-out-of-range",
         ],
     )
     def test_report_malformed_sweep_exits_5(self, artifacts, tmp_path, capsys, edit):
@@ -323,6 +328,9 @@ class TestErrorPaths:
             (lambda m: m["normalizer"].update(public_scale=[["1.0"]] * len(m["normalizer"]["public_scale"])), "normalizer public_scale must hold"),
             (lambda m: m["normalizer"].update(time_scale=0.0), "normalizer time_scale must be > 0"),
             (lambda m: m["normalizer"].update(public_scale=[-1.0] * len(m["normalizer"]["public_scale"])), "normalizer public_scale values"),
+            (lambda m: m.update(metrics="x"), "metrics must be an object or null"),
+            (lambda m: m["schema"]["secret"][0].pop("name"), "schema: secret[0].name is missing"),
+            (lambda m: m["schema"].update(public="abc"), "schema: public must be a list"),
         ],
         ids=[
             "no-architecture",
@@ -339,6 +347,9 @@ class TestErrorPaths:
             "string-public-scale",
             "zero-time-scale",
             "negative-public-scale",
+            "string-metrics",
+            "schema-feature-without-name",
+            "schema-public-string",
         ],
     )
     def test_malformed_model_analyze_exits_4(self, artifacts, tmp_path, capsys, edit, field):
@@ -367,6 +378,40 @@ class TestErrorPaths:
         assert rc == 4
         assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 1\n"
         assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"secret": [{"domain": "binary"}]}', "sidecar t.schema.json secret[0].name is missing"),
+            ('{"secret": 5}', "sidecar t.schema.json secret must be a list, got 5"),
+            ('[{"name": "s_0", "domain": "binary"}]', "sidecar t.schema.json must be an object, got"),
+            ('{"secret": [{"name": "s_0", "domain": "binary"}], "time_unit": 5}', "sidecar t.schema.json time_unit must be a string"),
+            ('{"secret": [{"name": "s_0", "domain": "binary"}], "public": "abc"}', "sidecar t.schema.json public must be a list"),
+            ("{broken", "cannot read JSON file {sidecar}: Expecting property name"),
+        ],
+        ids=["no-name", "secret-number", "top-level-list", "time-unit-number", "public-string", "unreadable"],
+    )
+    def test_malformed_sidecar_exits_3(self, tmp_path, capsys, text, message):
+        data = tmp_path / "t.csv"
+        data.write_text("s_0,p_0,time\n0,1,1.0\n1,2,2.0\n")
+        sidecar = tmp_path / "t.schema.json"
+        sidecar.write_text(text)
+        rc = main(["sweep", "--data", str(data), "--sidecar", str(sidecar), "--out-dir", str(tmp_path / "o")] + QUICK_TRAIN)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(sidecar=sidecar)}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--census", "--sweep"])
+    def test_unreadable_report_input_names_the_file(self, artifacts, tmp_path, capsys, flag):
+        # Used to print only the parser's message, naming neither flag nor file.
+        _, sweep_dir, census_path, _ = artifacts
+        bad = tmp_path / "broken.json"
+        bad.write_text("{broken")
+        inputs = {"--census": census_path, "--sweep": sweep_dir / "sweep.json", flag: bad}
+        rc = main(["report", *(str(a) for pair in inputs.items() for a in pair), "--out", str(tmp_path / "r.json")])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith(f"error: cannot read JSON file {bad}: Expecting property name")
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_census_report(self, tmp_path):
         rc = main(

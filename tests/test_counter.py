@@ -626,6 +626,9 @@ class TestCensusJson:
             {"complete": 1},
             {"nodes": 7.5},
             {"node_outcomes": {"decided": 1.0, "pruned": 0, "enumerated": 0, "split": 0}},
+            {"nodes": -1, "node_outcomes": None},
+            {"nodes": 1, "node_outcomes": {"decided": 2, "pruned": -1, "enumerated": 0, "split": 0}},
+            {"nodes": 1, "node_outcomes": {"decided": 1, "pruned": 1, "enumerated": 0, "split": 0}},
         ],
     )
     def test_from_json_rejects_malformed(self, and_gate_reducer, edit):

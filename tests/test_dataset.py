@@ -131,6 +131,29 @@ class TestLoadCsv:
         with pytest.raises(D.DatasetError, match=r"secret feature 's_0': int domain must be \[lo, hi\]"):
             D.load_csv(f, sidecar=sc)
 
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ({"secret": [{"domain": "binary"}]}, r"secret\[0\]\.name is missing"),
+            ({"secret": 5}, "secret must be a list, got 5"),
+            ([{"name": "s_0", "domain": "binary"}], "must be an object, got"),
+            ({"secret": [{"name": "s_0", "domain": "binary"}], "time_unit": 5}, "time_unit must be a string, got 5"),
+            ({"secret": [{"name": "s_0", "domain": "binary"}], "public": "abc"}, "public must be a list, got 'abc'"),
+            ({"secret": [{"name": "s_0", "domain": "binary"}], "public": [1]}, r"public\[0\] must be a string, got 1"),
+        ],
+        ids=["no-name", "secret-number", "top-level-list", "time-unit-number", "public-string", "public-number"],
+    )
+    def test_malformed_sidecar_names_the_field(self, tmp_path, sidecar, message):
+        # Each used to fail with a raw Python message ("'name'", "'int' object
+        # is not iterable") or load: a string "public" read as one feature per
+        # character, an int time_unit went into the model.
+        f = tmp_path / "t.csv"
+        write_lines(f, ["s_0,time", "0,1.0", "1,2.0"])
+        sc = tmp_path / "t.schema.json"
+        sc.write_text(json.dumps(sidecar))
+        with pytest.raises(D.DatasetError, match=rf"^sidecar t\.schema\.json {message}"):
+            D.load_csv(f, sidecar=sc)
+
     def test_sidecar_overrides_inference(self, tmp_path):
         f = tmp_path / "t.csv"
         write_lines(f, ["s_0,time", "0,1.0", "1,2.0"])
