@@ -39,7 +39,7 @@ class Manifest:
     hash and hence byte-identical downstream artifacts.
     """
 
-    _UNHASHED_ARGS = {"out", "out_dir", "data", "model", "census", "sweep", "config", "sidecar"}
+    _UNHASHED_ARGS = {"out", "out_dir", "data", "model", "census", "sweep", "sidecar"}
 
     def __init__(self, command: str, args: dict):
         self.command = command
@@ -387,6 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config value as its flag takes it on the command line: a string or
+    a number, written out and checked against the flag's type and choices."""
+    where = f"--config {action.dest}"
+    if type(value) not in (str, int, float):
+        raise FieldError(f"{where}: must be a string or a number, got {value!r:.40}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise FieldError(f"{where}: invalid {action.type.__name__} value {str(value)!r:.40}") from None
+    if action.choices is not None and value not in action.choices:
+        raise FieldError(f"{where}: invalid choice {value!r:.40} (choose from {list(action.choices)})")
+    return value
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -400,17 +415,18 @@ def main(argv=None) -> int:
             print("error: --config needs a path", file=sys.stderr)
             return 2
         del argv[idx : idx + 2]
+        # The file sets the flags of the subcommand, the first word not an option.
+        command = next((a for a in argv if a[:1] != "-"), None)
+        subparser = parser._subparsers._group_actions[0].choices.get(command)  # type: ignore[union-attr]
         try:
             overrides = get({"--config": read_json(config_path)}, "--config", dict)
+            for action in subparser._actions if subparser else ():
+                if action.dest in overrides:
+                    subparser.set_defaults(**{action.dest: _config_value(action, overrides[action.dest])})
+                    action.required = False
         except FieldError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for subparser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-            known = {a.dest: a for a in subparser._actions}
-            for key, value in overrides.items():
-                if key in known:
-                    subparser.set_defaults(**{key: value})
-                    known[key].required = False
 
     args = parser.parse_args(argv)
     try:

@@ -142,7 +142,7 @@ class ReducerNet:
 
     def preactivations(self, x_raw: np.ndarray) -> np.ndarray:
         """Float interface pre-activations of (rows, d) raw secrets, by the
-        evaluator that training and prediction use."""
+        layer steps that training and prediction run."""
         xn = (np.asarray(x_raw, dtype=np.float64) - self.input_shift) / self.input_denom
         return secret_branch(self.hidden, (self.iface_w, self.iface_b), xn)
 
@@ -255,9 +255,10 @@ class ClassCensus:
     def __post_init__(self):
         if len(self.counts) != 2**self.k or len(self.cap_hits) != 2**self.k:
             raise CounterError("census must cover every interface valuation")
-        for c, hit in zip(self.counts, self.cap_hits):
-            if hit and (self.cap is None or c != self.cap):
-                raise CounterError("cap-hit classes must record exactly the cap")
+        for v, (c, hit) in enumerate(zip(self.counts, self.cap_hits)):
+            if hit != (c == self.cap):
+                label = valuation_label(v, self.k)
+                raise CounterError(f"class {label} is{'' if hit else ' not'} cap_hit at count {c}, cap {self.cap}")
 
     def status(self, v: int) -> str:
         if self.counts[v] == 0:
@@ -293,7 +294,7 @@ class ClassCensus:
     def from_json(cls, obj: dict) -> "ClassCensus":
         try:
             if get(obj, "format", default=None) != "timeleak-census" or get(obj, "version", int, default=None) != 1:
-                raise CounterError("not a census file (or unsupported version)")
+                raise FieldError("format is not timeleak-census version 1")
             k, cap = get(obj, "k", int, lo=0), get(obj, "cap", int, type(None), lo=1)
             complete, nodes = get(obj, "complete", bool, default=True), get(obj, "nodes", int, lo=0, default=0)
             outcomes = get(obj, "node_outcomes", dict, type(None), default=None)
@@ -313,14 +314,12 @@ class ClassCensus:
                     raise FieldError(f"{where}.valuation must be {valuation_label(v, k)!r}, got {entry['valuation']!r}")
                 counts.append(get(entry, "count", int, lo=0, hi=cap, where=where))
                 statuses.append(get(entry, "status", str, where=where))
-                if statuses[-1] == "cap_hit" and counts[-1] != cap:
-                    raise FieldError(f"{where}.count of a cap_hit class must be the cap {cap}, got {counts[-1]}")
             census = cls(k, cap, tuple(counts), tuple(s == "cap_hit" for s in statuses), complete, nodes, outcomes)
             for v, status in enumerate(statuses):
                 if status != census.status(v):
                     raise FieldError(f"classes[{v}].status is {status!r} with count {counts[v]}")
             return census
-        except FieldError as exc:
+        except (FieldError, CounterError) as exc:
             raise CounterError(f"census {exc}") from None
 
 

@@ -466,20 +466,15 @@ def _forward_cache(stack: Stack, xn: np.ndarray, yn: np.ndarray, ws: Workspace |
     return ws
 
 
-def predict_batch(
-    net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray, ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized predictions and int64 interface bits of one model for
-    (rows, d) batches of normalized inputs. The predictions live in `ws` (a
-    workspace of `net.stack`) when one is given."""
+    (rows, d) batches of normalized inputs."""
     if xn.shape[-1] != net.arch.n_secret or yn.shape[-1] != net.arch.n_public:
         raise DimensionMismatch(
             f"expected {net.arch.n_secret} secret / {net.arch.n_public} public features, "
             f"got {xn.shape[-1]} / {yn.shape[-1]}"
         )
-    if ws is None:
-        ws = Workspace(net.stack, yn.shape[0], forward_only=True)
-    ws = _forward_cache(net.stack, xn[None], yn[None], ws)
+    ws = _forward_cache(net.stack, xn[None], yn[None], Workspace(net.stack, yn.shape[0], forward_only=True))
     bits = ws.bits[0][0] if net.k else np.empty((yn.shape[0], 0))
     return ws.t_hat[0], bits.astype(np.int64)
 
@@ -634,17 +629,21 @@ def train_stack(
     `Stack`, and return `train`'s (model, history) for each pair, in the
     order given. The architectures may differ only in k.
 
-    Every model draws its own batch order and early-stops on its own; a
-    stopped model leaves the stack with its best-validation snapshot, and
+    Every model draws its own batch order and early-stops on its own. Models
+    leave the stack only at the end of an epoch: on patience, at the last
+    epoch, or on divergence, each with its best-validation snapshot, and
     its `metrics` give that snapshot's epoch (`best_epoch`, from 0) and
     SSEs. The stacked operations act on each model's slice exactly as on one
     model's arrays, so each result is bit for bit what `train` gives that
     pair.
-    When a loss or SSE turns non-finite, the models of that k and of every
-    larger k leave the stack and the smaller k train on; at the end
-    `NonFiniteLoss` is raised for the smallest k that failed, with the
-    epoch and seed at which that k failed (its first model in the given
-    order among those that failed). `config.seed` is not used.
+    A model whose loss or SSE turns non-finite runs on to the end of its
+    epoch, which changes no other model's bits. Then the models of the
+    smallest k that failed and of every larger k leave the stack and the
+    smaller k train on; at the end `NonFiniteLoss` is raised for the
+    smallest k that failed, with the epoch and seed at which that k failed
+    (its model that failed at the earliest step, the SSE pass counting as
+    the epoch's last step, then the first in the given order), as if each
+    k trained alone in increasing k. `config.seed` is not used.
     """
     if not seeds or len(archs) != len(seeds):
         raise NetworkError("need one seed per architecture, and at least one")
@@ -689,10 +688,10 @@ def train_stack(
     best = stack.flat.copy()
     stall = np.zeros(len(nets), dtype=np.int64)
     failure: NonFiniteLoss | None = None
+    sse_step = -(-n // bs)  # the SSE pass counts as the epoch's last step
 
-    def leave(keep: np.ndarray) -> np.ndarray:
-        """Take the models of the rows outside `keep` out of the stack, each
-        with its best snapshot, and return the parameter mask of the rest."""
+    def leave(keep: np.ndarray) -> None:
+        """Take the models of the rows outside `keep` out of the stack, each with its best snapshot."""
         nonlocal stack, best, live, spaces
         for row in np.flatnonzero(~keep):
             nets[live[row]].flat[...] = best[stack.owner == row]
@@ -702,16 +701,6 @@ def train_stack(
             stack = Stack([nets[i].arch for i in live], stack.flat[params])
             best, state.m, state.v = best[params], state.m[params], state.v[params]
             spaces = {shape: Workspace(stack, *shape, arena) for shape in passes}
-        return params
-
-    def diverged(what: str, epoch: int, finite: np.ndarray) -> np.ndarray:
-        """Record the failure of the smallest k with a non-finite value and
-        return the rows that train on: those of smaller k."""
-        nonlocal failure
-        row = int(np.argmin(finite))
-        k = stack.archs[row].k
-        failure = NonFiniteLoss(f"{what} diverged at epoch {epoch}", epoch, nets[live[row]].seed, k)
-        return np.array([a.k < k for a in stack.archs])
 
     for epoch in range(config.max_epochs):
         # Each model's training rows in its order for this epoch; the
@@ -724,30 +713,19 @@ def train_stack(
             epoch_rows.append(np.take(a, perm, axis=0, out=view, mode="clip"))
             at += view.size
         xe, ye, te = epoch_rows
-        for start in range(0, n, bs):
-            stop = start + bs
-            batch = (xe[:, start:stop], ye[:, start:stop], te[:, start:stop])
+        failed_at = np.full(live.size, sse_step + 1)  # each model's first non-finite step, if any
+        for step, start in enumerate(range(0, n, bs)):
+            batch = (xe[:, start : start + bs], ye[:, start : start + bs], te[:, start : start + bs])
             loss, grads = loss_and_gradients(stack, batch, config.ste_clip, spaces[min(bs, n - start), False])
             finite = np.isfinite(loss)
             if not finite.all():
-                keep = diverged("loss", epoch, finite)
-                grads = grads[leave(keep)]
-                if not live.size:
-                    break
-                xe, ye, te = xe[keep], ye[keep], te[keep]
+                failed_at[~finite & (failed_at > step)] = step
             adam_step(stack.flat, grads, state, config)
-        if not live.size:
-            break
 
         train_sse = _sse_arrays(stack, xtr, ytr, ttr, spaces[n, True])
         valid_sse = _sse_arrays(stack, xva, yva, tva, spaces[ds_valid.n_rows, True])
         finite = np.isfinite(train_sse) & np.isfinite(valid_sse)
-        if not finite.all():
-            keep = diverged("SSE", epoch, finite)
-            leave(keep)
-            if not live.size:
-                break
-            train_sse, valid_sse = train_sse[keep], valid_sse[keep]
+        failed_at[~finite & (failed_at > sse_step)] = sse_step
         for i, tr_sse, va_sse in zip(live, train_sse.tolist(), valid_sse.tolist()):
             histories[i].append((tr_sse, va_sse))
 
@@ -756,7 +734,14 @@ def train_stack(
         best_epoch[live[improved]] = epoch
         np.copyto(best, stack.flat, where=improved[stack.owner])
         stall[live] = np.where(improved, 0, stall[live] + 1)
-        keep = stall[live] < config.patience
+        keep = (stall[live] < config.patience) & (epoch < config.max_epochs - 1)
+        if (failed_at <= sse_step).any():
+            ks = np.array([a.k for a in stack.archs])
+            k = ks[np.argmax(failed_at <= sse_step)]  # rows come in ascending k
+            row = int(np.argmin(np.where(ks == k, failed_at, sse_step + 1)))
+            what = "loss" if failed_at[row] < sse_step else "SSE"
+            failure = NonFiniteLoss(f"{what} diverged at epoch {epoch}", epoch, nets[live[row]].seed, int(k))
+            keep &= ks < k
         if not keep.all():
             leave(keep)
             if not live.size:
@@ -764,8 +749,6 @@ def train_stack(
 
     if failure is not None:
         raise failure
-    if live.size:
-        leave(np.zeros(live.size, dtype=bool))
     results: list = [None] * len(nets)
     for i, net, history, epoch in zip(order, nets, histories, best_epoch.tolist()):
         # The SSEs of the best-validation snapshot, which is the model kept.

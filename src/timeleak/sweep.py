@@ -134,11 +134,11 @@ def select_k(sse_by_k: Sequence[float], tau: float = DEFAULT_TAU) -> int:
     curve = [float(s) for s in sse_by_k]
     if not curve:
         raise SweepError("empty SSE curve")
+    # The last k always returns: no later width can improve on it.
     for k, sse_k in enumerate(curve):
         denom = max(sse_k, _SSE_FLOOR)
         if all((sse_k - later) / denom < tau for later in curve[k + 1 :]):
             return k
-    return len(curve) - 1
 
 
 def detect(sweep: SweepResult, epsilon: float | None = None) -> Verdict:

@@ -166,10 +166,11 @@ class TestPipeline:
             lambda census: {"node_outcomes": {**census["node_outcomes"], "split": census["node_outcomes"]["split"] + 0.5}},
             {"nodes": -1},
             lambda census: edit_first(census, "classes", status="cap_hit", count=census["cap"] - 1),
+            lambda census: edit_first(census, "classes", status="counted", count=census["cap"]),
         ],
         ids=[
             "k40", "negative-k", "no-classes", "classes-not-a-list", "count-float", "complete-string",
-            "nodes-float", "nodes-bool", "outcome-float", "nodes-negative", "cap-hit-below-cap",
+            "nodes-float", "nodes-bool", "outcome-float", "nodes-negative", "cap-hit-below-cap", "counted-at-cap",
         ],
     )
     def test_report_malformed_census_exits_5(self, artifacts, tmp_path, capsys, edit):
@@ -466,6 +467,61 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            (["gen"], {"family": "xyz", "rows": 20}, "family"),
+            (["gen", "--family", "rn", "--preset", "R_2"], {"rows": True}, "rows"),
+            (["gen", "--family", "rn", "--preset", "R_2"], {"rows": "20.5"}, "rows"),
+            (["sweep", "--data", "DATA"], {"k_max": [1]}, "k_max"),
+        ],
+        ids=["choice-outside", "bool-for-int", "float-text-for-int", "list-for-int"],
+    )
+    def test_config_value_its_flag_refuses_is_a_usage_error(self, tmp_path, capsys, command, config, key):
+        # A value from the file is taken only where the same value passes on
+        # the command line, against the flag's type and choices.
+        data = gen_r2(tmp_path, rows=60)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        flag = "--out-dir" if command[0] == "sweep" else "--out"
+        argv = [str(data) if a == "DATA" else a for a in command] + ["--config", str(cfg), flag, str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {key}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_keys_of_other_subcommands_are_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rows": 30, "k_max": [1], "cap": "many"}))
+        out = tmp_path / "a.csv"
+        assert main(["gen", "--config", str(cfg), "--family", "rn", "--preset", "R_2", "--out", str(out)]) == 0
+        assert D.load_csv(out).n_rows == 30
+
+
+class TestEpsilon:
+    def test_sweep_epsilon_keys_and_report(self, tmp_path):
+        # An epsilon far above every residual says no leak; where the SSE
+        # elbow says leak, the two disagree and sweep.json notes it.
+        csv = gen_r2(tmp_path)
+        sweep_dir = tmp_path / "sweep"
+        rc = main(
+            ["sweep", "--data", str(csv), "--k-max", "1", "--seeds-per-k", "1", "--seed", "1", "--epsilon", "1e9"]
+            + QUICK_TRAIN
+            + ["--out-dir", str(sweep_dir)]
+        )
+        assert rc == 0
+        sweep = json.loads((sweep_dir / "sweep.json").read_text())
+        assert sweep["k_star"] == 1 and sweep["verdict"] == "LeakDetected(k=1)"
+        assert sweep["epsilon"] == 1e9 and sweep["epsilon_verdict"] == "NoLeakDetected"
+        assert "disagrees with the SSE elbow" in sweep["note"]
+        census, report = tmp_path / "census.json", tmp_path / "report.json"
+        assert main(["analyze", "--model", str(sweep_dir / "models/k1.json"), "--cap", "4", "--out", str(census)]) == 0
+        assert main(["report", "--census", str(census), "--sweep", str(sweep_dir / "sweep.json"), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["provenance"]["sweep"]["verdict"] == "LeakDetected(k=1)"
 
 
 class TestTauMonotonicity:

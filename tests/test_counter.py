@@ -629,6 +629,7 @@ class TestCensusJson:
             {"nodes": -1, "node_outcomes": None},
             {"nodes": 1, "node_outcomes": {"decided": 2, "pruned": -1, "enumerated": 0, "split": 0}},
             {"nodes": 1, "node_outcomes": {"decided": 1, "pruned": 1, "enumerated": 0, "split": 0}},
+            {"classes": [{"valuation": "0", "status": "cap_hit", "count": 2}, {"valuation": "1", "status": "counted", "count": 2}]},
         ],
     )
     def test_from_json_rejects_malformed(self, and_gate_reducer, edit):
@@ -638,6 +639,15 @@ class TestCensusJson:
         obj = {**good, **edit}
         with pytest.raises(C.CounterError):
             C.ClassCensus.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "cap, counts, cap_hits",
+        [(5, (5, 2), (False, False)), (5, (4, 2), (True, False)), (None, (5, 2), (True, False))],
+        ids=["at-cap-not-hit", "hit-below-cap", "hit-without-cap"],
+    )
+    def test_cap_hit_exactly_at_the_cap(self, cap, counts, cap_hits):
+        with pytest.raises(C.CounterError, match="class 0 "):
+            C.ClassCensus(k=1, cap=cap, counts=counts, cap_hits=cap_hits)
 
     def test_from_sizes_with_cap(self):
         census = C.census_from_sizes([68, 16, 27, 1, 16], cap=100, k=3)

@@ -5,6 +5,7 @@ the other supported domain shape: one wide IntRange secret whose value picks
 a timing band, trained, extracted, counted by bisection, and quantified.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from timeleak import counter as C
 from timeleak import dataset as D
 from timeleak import network as N
 from timeleak import quantifier as Q
+from timeleak.cli import main
 
 DOMAIN_HI = 2000
 BAND_EDGE = 667  # three bands: [0, 666], [667, 1333], [1334, 2000]
@@ -73,3 +75,21 @@ def test_int_range_cap_census_matches_oracle():
     dom = C.SecretDomain.from_schema(ds.schema)
     for cap in (1, 100):
         assert C.bnb_census(reducer, dom, cap=cap) == C.brute_force_census(reducer, dom, cap=cap)
+
+
+def test_int_range_model_save_load_analyze(tmp_path):
+    # The schema's {"int": [lo, hi]} domain survives a saved model, and
+    # `analyze` on the loaded file counts the whole domain at cap = its size.
+    ds = make_banded_dataset(rows=200, seed=3)
+    train, valid = D.split(ds, 0.1, 0)
+    arch = N.Architecture(n_secret=1, n_public=1, k=2, secret_widths=(4,), public_widths=(4,), joint_widths=(6,))
+    net, _ = N.train(train, valid, arch, N.TrainConfig(learning_rate=0.02, ste_clip=4.0, max_epochs=10, seed=0))
+    N.save(net, tmp_path / "model.json")
+    loaded = N.load(tmp_path / "model.json")
+    assert loaded.schema == ds.schema and np.array_equal(loaded.flat, net.flat)
+    dom = C.SecretDomain.from_schema(ds.schema)
+    out = tmp_path / "census.json"
+    assert main(["analyze", "--model", str(tmp_path / "model.json"), "--cap", str(dom.size), "--out", str(out)]) == 0
+    census = C.ClassCensus.from_json(json.loads(out.read_text()))
+    assert census.total_counted == dom.size == DOMAIN_HI + 1
+    assert census == C.bnb_census(C.extract_reducer(net), dom, cap=dom.size)

@@ -664,6 +664,107 @@ class TestSweepStack:
         assert (info.value.k, info.value.epoch, info.value.seed) == reported
         assert steps[-1] == config.max_epochs - 1  # the smaller k trained on to the end
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model overflows
+    def test_sse_divergence_names_k_epoch_and_seed(self, monkeypatch):
+        # Poisoned after the last step of an epoch, a model has a finite loss
+        # at every step of that epoch, and its SSE is the first value to fail.
+        ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(max_epochs=6)
+        n_batches = -(-tr.n_rows // config.batch_size)
+        archs = [N.Architecture(2, 7, k, (5,), (5,), (10,)) for k in (0, 1, 1, 2)]
+        second_k1 = N.Stack(archs).owner == 2
+        real_step = N.adam_step
+
+        def poisoned_step(params, grads, state, cfg):
+            real_step(params, grads, state, cfg)
+            if state.step == 3 * n_batches:  # the last step of epoch 2
+                params[second_k1] = np.nan
+            return state
+
+        monkeypatch.setattr(N, "adam_step", poisoned_step)
+        with pytest.raises(N.NonFiniteLoss, match="^SSE diverged at epoch 2$") as info:
+            N.train_stack(tr, va, archs, config, [10, 11, 12, 13])
+        assert (info.value.k, info.value.epoch, info.value.seed) == (1, 2, 12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned models overflow
+    def test_divergence_equals_training_each_width_alone(self, monkeypatch):
+        # Seeded random schedules poison models with NaN or infinity before a
+        # step or just before the SSE pass. The whole sweep as one stack and
+        # each width trained alone, in increasing k up to the first that
+        # fails, must end in the same error or return the same models.
+        ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=8, patience=3)
+        n_batches = -(-tr.n_rows // config.batch_size)
+        pairs = [(0, 20), (1, 21), (1, 22), (2, 23), (2, 24), (3, 25)]
+        archs = [N.Architecture(2, 7, k, (5,), (5,), (10,)) for k, _ in pairs]
+        real_loss, real_step = N.loss_and_gradients, N.adam_step
+
+        def run(schedule, indices):
+            """`train_stack` on the pairs at `indices`, or the error it raises.
+            A poison (epoch, step, k, r, value) sets every parameter of the
+            r-th model of k, among those whose parameters are all finite, to
+            `value` before that step of that epoch; step `n_batches` is the
+            SSE pass."""
+            stacks = []
+
+            def poison(stack, epoch, step):
+                for k, r, value in (p[2:] for p in schedule if p[:2] == (epoch, step)):
+                    finite = [row for row, a in enumerate(stack.archs)
+                              if a.k == k and np.isfinite(stack.flat[stack.owner == row]).all()]
+                    if r < len(finite):
+                        stack.flat[stack.owner == finite[r]] = value
+
+            def loss_and_gradients(stack, batch, ste_clip, ws):
+                poison(stack, *divmod(len(stacks), n_batches))
+                stacks.append(stack)
+                return real_loss(stack, batch, ste_clip, ws)
+
+            def adam_step(params, grads, state, cfg):
+                real_step(params, grads, state, cfg)
+                epoch, step = divmod(len(stacks), n_batches)
+                if step == 0:  # after the last step of an epoch
+                    poison(stacks[-1], epoch - 1, n_batches)
+                return state
+
+            monkeypatch.setattr(N, "loss_and_gradients", loss_and_gradients)
+            monkeypatch.setattr(N, "adam_step", adam_step)
+            try:
+                return N.train_stack(tr, va, [archs[i] for i in indices], config, [pairs[i][1] for i in indices])
+            except N.NonFiniteLoss as exc:
+                return exc
+
+        outcomes = []
+        for trial in range(16):
+            rng = np.random.default_rng([11, trial])
+            schedule = [
+                (int(rng.integers(config.max_epochs)), int(rng.choice([rng.integers(n_batches), n_batches])),
+                 int(rng.integers(4)), int(rng.integers(2)), float(rng.choice([np.nan, np.inf, -np.inf])))
+                for _ in range(rng.integers(1, 4))
+            ]
+            stacked = run(schedule, range(len(pairs)))
+            alone = []
+            for k in range(4):
+                result = run(schedule, [i for i, (kk, _) in enumerate(pairs) if kk == k])
+                if isinstance(result, N.NonFiniteLoss):
+                    alone = result
+                    break
+                alone += result
+            if isinstance(alone, N.NonFiniteLoss):
+                assert isinstance(stacked, N.NonFiniteLoss), schedule
+                got, want = ((str(e), e.k, e.epoch, e.seed) for e in (stacked, alone))
+                assert got == want, schedule
+                outcomes.append(str(alone).split()[0])
+                continue
+            assert isinstance(stacked, list), schedule
+            for (net, history), (net_alone, history_alone) in zip(stacked, alone):
+                assert np.array_equal(net.flat, net_alone.flat) and history == history_alone, schedule
+                assert net.metrics == net_alone.metrics, schedule
+            outcomes.append("none")
+        # The schedules reach both places a model can fail, and no failure.
+        assert {"loss", "SSE", "none"} <= set(outcomes)
+
     def test_architectures_must_differ_only_in_k(self):
         ds = D.gen_rn_preset("R_2", rows=60, noise_std=0.0, seed=0)
         tr, va = D.split(ds, 0.2, 0)
