@@ -8,6 +8,7 @@ counting can enumerate them exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import operator
@@ -264,15 +265,22 @@ def load_csv(path, sidecar=None) -> TraceDataset:
     if parsed is None:
         parsed = _scan_body(path, header)
     n_rows = parsed.shape[0]
-    x = parsed[:, [i for i, _ in secret_cols]]
-    # Secret columns must be finite before their domains are inferred; the
-    # dataset checks the public and time columns.
-    bad = _first_non_finite(x.T)
+    # x and y are views of the table when their columns are adjacent and in
+    # order, as in the s_…,p_…,time layout, else copies.
+    spans = [[i for i, _ in cols] for cols in (secret_cols, public_cols)]
+    x, y = (parsed[:, i[0] : i[-1] + 1] if i and i == list(range(i[0], i[-1] + 1)) else parsed[:, i] for i in spans)
+    t = parsed[:, -1]
+    # Each rule is checked once over the table; a column is scanned only to
+    # name the first cell that breaks one: secret columns here, before their
+    # domains are inferred, public and time columns in the dataset.
+    finite = bool(np.isfinite(parsed).all())
+    bad = None if finite else _first_non_finite(x.T)
     if bad is not None:
         c, r = secret_cols[bad[0]][0], bad[1]
         raise NonFiniteCell(r + 2, header[c], _cell_text(path, r + 2, c))
-    y = parsed[:, [i for i, _ in public_cols]]
-    t = parsed[:, -1]
+    lo, hi = parsed.min(axis=0, initial=np.inf), parsed.max(axis=0, initial=-np.inf)
+    blocks = (x[r : r + WRITE_BLOCK] for r in range(0, n_rows, WRITE_BLOCK))
+    integral = all(np.array_equal(b, np.floor(b)) for b in blocks)
 
     schema_override = None
     if sidecar is not None:
@@ -286,27 +294,26 @@ def load_csv(path, sidecar=None) -> TraceDataset:
             raise DatasetError(f"sidecar secret features {declared} do not match columns")
 
     secret_features = []
-    for j, (_, name) in enumerate(secret_cols):
+    for j, (c, name) in enumerate(secret_cols):
         col = x[:, j]
-        if np.any(col != np.floor(col)):
+        if not integral and np.any(col != np.floor(col)):
             r = int(np.argmax(col != np.floor(col)))
             raise SecretValueOutOfDomain(r + 2, name, float(col[r]))
         if schema_override is not None:
             dom = schema_override.secret_features[j][1]
-            bad = (col < dom.lo) | (col > dom.hi)
-            if np.any(bad):
-                r = int(np.argmax(bad))
+            if lo[c] < dom.lo or hi[c] > dom.hi:
+                r = int(np.argmax((col < dom.lo) | (col > dom.hi)))
                 raise SecretValueOutOfDomain(r + 2, name, float(col[r]))
-        elif n_rows and np.all((col == 0) | (col == 1)):
+        elif n_rows and lo[c] >= 0 and hi[c] <= 1:
             dom = Binary()
         else:
-            dom = IntRange(int(col.min()) if n_rows else 0, int(col.max()) if n_rows else 1)
+            dom = IntRange(int(lo[c]) if n_rows else 0, int(hi[c]) if n_rows else 1)
         secret_features.append((name, dom))
 
     time_unit = schema_override.time_unit if schema_override else "seconds"
     schema = FeatureSchema(tuple(secret_features), tuple(n for _, n in public_cols), time_unit)
     try:
-        return TraceDataset(schema, x, y, t)
+        return TraceDataset(schema, x, y, t, validate=not finite or lo[-1] < 0)
     except NonFiniteValue as exc:
         # Public names are distinct and carry a p_ prefix, so this is the cell.
         c, r = header.index(exc.col), exc.row
@@ -315,7 +322,8 @@ def load_csv(path, sidecar=None) -> TraceDataset:
 
 def _first_non_finite(columns) -> tuple[int, int] | None:
     """(column, row) of the first non-finite value, scanning the columns in
-    order; checked one column at a time so no table-sized mask is built."""
+    order one at a time, so no table-sized mask is built. `load_csv` calls it
+    only to name the cell once its check of the whole table has failed."""
     for j, col in enumerate(columns):
         finite = np.isfinite(col)
         if not finite.all():
@@ -372,9 +380,12 @@ def _cell_text(path: Path, row: int, col: int) -> str:
         return next(itertools.islice(csv.reader(fh), row - 1, None))[col]
 
 
-# Rows formatted per write in write_csv: enough to amortize the per-column
-# calls, few enough that the cell strings of one block stay small.
+# Rows per block, formatted together in write_csv and checked together for
+# integrality in load_csv: enough to amortize the per-column calls, few
+# enough that the temporaries and cell strings of one block stay small.
 WRITE_BLOCK = 4096
+# Most labels in one write_csv label table (see `_fields`).
+WRITE_TABLE = 2**17
 
 
 def _fmt_cell(v: float) -> str:
@@ -383,14 +394,50 @@ def _fmt_cell(v: float) -> str:
     return repr(float(v))
 
 
-def _fmt_column(col: np.ndarray) -> list[str]:
+def _fmt_floats(col: np.ndarray) -> list[str]:
     """`_fmt_cell` of every value in a column of finite values."""
-    whole = (col == np.floor(col)) & (np.abs(col) < 1e15)
-    if not whole.all():
-        return [_fmt_cell(v) for v in col.tolist()]
-    # Each distinct value is formatted once: a binary column takes two str() calls.
-    values, index = np.unique(col.astype(np.int64), return_inverse=True)
-    return np.array(list(map(str, values.tolist())), dtype=object)[index].tolist()
+    values = col.tolist()
+    cells = list(map(repr, values))
+    for i in np.flatnonzero((col == np.floor(col)) & (np.abs(col) < 1e15)).tolist():
+        cells[i] = str(int(values[i]))
+    return cells
+
+
+def _label_field(run: list[tuple[np.ndarray, int, int]]):
+    """The cells of a run of integral columns, given as (column, lowest value,
+    count of values), read from a table of every combination's label."""
+    strs = (list(map(str, range(lo, lo + n))) for _, lo, n in run)
+    labels = np.array(functools.reduce(lambda a, b: [p + "," + q for p in a for q in b], strs), dtype=object)
+
+    def field(rows: slice) -> list[str]:
+        index = 0
+        for col, lo, n in run:
+            index = index * n + (col[rows] - lo)
+        return labels[index.astype(np.intp)].tolist()
+
+    return field
+
+
+def _fields(columns: list[np.ndarray], n_rows: int) -> list:
+    """Per field of a row, in column order, a function from a block of rows to
+    its texts. A run of adjacent integral columns below 1e15 in magnitude is
+    one field while its label table holds at most min(n_rows, WRITE_TABLE)."""
+    fields, run, size, limit = [], [], 1, min(n_rows, WRITE_TABLE)
+    for col in [*columns, None]:
+        n = 0
+        if col is not None and n_rows:
+            lo, hi = col.min(), col.max()
+            if max(-lo, hi) < 1e15 and np.array_equal(col, np.floor(col)):
+                n = int(hi) - int(lo) + 1
+        if run and not 0 < n * size <= limit:
+            fields.append(_label_field(run))
+            run, size = [], 1
+        if 0 < n <= limit:
+            run.append((col, int(lo), n))
+            size *= n
+        elif col is not None:
+            fields.append(lambda rows, col=col: _fmt_floats(col[rows]))
+    return fields
 
 
 def write_csv(ds: TraceDataset, path) -> None:
@@ -406,17 +453,15 @@ def write_csv(ds: TraceDataset, path) -> None:
     for name in ds.schema.public_features:
         header.append(name if name.startswith("p_") else f"p_{name}")
     header.append("time")
+    if not all(np.isfinite(a).all() for a in (ds.x, ds.y, ds.t)):
+        cells = np.column_stack([ds.x, ds.y, ds.t]).ravel()
+        _fmt_cell(float(cells[np.argmin(np.isfinite(cells))]))  # the first NaN or infinity in row order raises
+    fields = _fields([*ds.x.T, *ds.y.T, ds.t], ds.n_rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, ds.n_rows, WRITE_BLOCK):
             rows = slice(start, start + WRITE_BLOCK)
-            columns = [*ds.x[rows].T, *ds.y[rows].T, ds.t[rows]]
-            finite = np.isfinite(np.column_stack(columns))
-            if not finite.all():
-                # The first NaN or infinity in row order raises, as in `_fmt_cell`.
-                r, c = np.unravel_index(np.argmin(finite), finite.shape)
-                _fmt_cell(float(columns[c][r]))
-            fh.write("\r\n".join(map(",".join, zip(*map(_fmt_column, columns)))) + "\r\n")
+            fh.write("\r\n".join(map(",".join, zip(*(field(rows) for field in fields)))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

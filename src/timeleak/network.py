@@ -702,50 +702,53 @@ def train_stack(
             best, state.m, state.v = best[params], state.m[params], state.v[params]
             spaces = {shape: Workspace(stack, *shape, arena) for shape in passes}
 
-    for epoch in range(config.max_epochs):
-        # Each model's training rows in its order for this epoch; the
-        # batches are views of them. A permutation is always in range, so
-        # "clip" changes no row; it only spares a buffered copy.
-        perm = np.stack([np.random.default_rng([nets[i].seed, epoch]).permutation(n) for i in live])
-        at, epoch_rows = rows_at, []
-        for a in train_rows:
-            view = arena[at : at + perm.size * math.prod(a.shape[1:])].reshape(perm.shape + a.shape[1:])
-            epoch_rows.append(np.take(a, perm, axis=0, out=view, mode="clip"))
-            at += view.size
-        xe, ye, te = epoch_rows
-        failed_at = np.full(live.size, sse_step + 1)  # each model's first non-finite step, if any
-        for step, start in enumerate(range(0, n, bs)):
-            batch = (xe[:, start : start + bs], ye[:, start : start + bs], te[:, start : start + bs])
-            loss, grads = loss_and_gradients(stack, batch, config.ste_clip, spaces[min(bs, n - start), False])
-            finite = np.isfinite(loss)
-            if not finite.all():
-                failed_at[~finite & (failed_at > step)] = step
-            adam_step(stack.flat, grads, state, config)
+    # A diverging model overflows before its loss or SSE is checked; the
+    # check below reports it, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            # Each model's training rows in its order for this epoch; the
+            # batches are views of them. A permutation is always in range, so
+            # "clip" changes no row; it only spares a buffered copy.
+            perm = np.stack([np.random.default_rng([nets[i].seed, epoch]).permutation(n) for i in live])
+            at, epoch_rows = rows_at, []
+            for a in train_rows:
+                view = arena[at : at + perm.size * math.prod(a.shape[1:])].reshape(perm.shape + a.shape[1:])
+                epoch_rows.append(np.take(a, perm, axis=0, out=view, mode="clip"))
+                at += view.size
+            xe, ye, te = epoch_rows
+            failed_at = np.full(live.size, sse_step + 1)  # each model's first non-finite step, if any
+            for step, start in enumerate(range(0, n, bs)):
+                batch = (xe[:, start : start + bs], ye[:, start : start + bs], te[:, start : start + bs])
+                loss, grads = loss_and_gradients(stack, batch, config.ste_clip, spaces[min(bs, n - start), False])
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    failed_at[~finite & (failed_at > step)] = step
+                adam_step(stack.flat, grads, state, config)
 
-        train_sse = _sse_arrays(stack, xtr, ytr, ttr, spaces[n, True])
-        valid_sse = _sse_arrays(stack, xva, yva, tva, spaces[ds_valid.n_rows, True])
-        finite = np.isfinite(train_sse) & np.isfinite(valid_sse)
-        failed_at[~finite & (failed_at > sse_step)] = sse_step
-        for i, tr_sse, va_sse in zip(live, train_sse.tolist(), valid_sse.tolist()):
-            histories[i].append((tr_sse, va_sse))
+            train_sse = _sse_arrays(stack, xtr, ytr, ttr, spaces[n, True])
+            valid_sse = _sse_arrays(stack, xva, yva, tva, spaces[ds_valid.n_rows, True])
+            finite = np.isfinite(train_sse) & np.isfinite(valid_sse)
+            failed_at[~finite & (failed_at > sse_step)] = sse_step
+            for i, tr_sse, va_sse in zip(live, train_sse.tolist(), valid_sse.tolist()):
+                histories[i].append((tr_sse, va_sse))
 
-        improved = valid_sse < best_valid[live] - 1e-12
-        best_valid[live[improved]] = valid_sse[improved]
-        best_epoch[live[improved]] = epoch
-        np.copyto(best, stack.flat, where=improved[stack.owner])
-        stall[live] = np.where(improved, 0, stall[live] + 1)
-        keep = (stall[live] < config.patience) & (epoch < config.max_epochs - 1)
-        if (failed_at <= sse_step).any():
-            ks = np.array([a.k for a in stack.archs])
-            k = ks[np.argmax(failed_at <= sse_step)]  # rows come in ascending k
-            row = int(np.argmin(np.where(ks == k, failed_at, sse_step + 1)))
-            what = "loss" if failed_at[row] < sse_step else "SSE"
-            failure = NonFiniteLoss(f"{what} diverged at epoch {epoch}", epoch, nets[live[row]].seed, int(k))
-            keep &= ks < k
-        if not keep.all():
-            leave(keep)
-            if not live.size:
-                break
+            improved = valid_sse < best_valid[live] - 1e-12
+            best_valid[live[improved]] = valid_sse[improved]
+            best_epoch[live[improved]] = epoch
+            np.copyto(best, stack.flat, where=improved[stack.owner])
+            stall[live] = np.where(improved, 0, stall[live] + 1)
+            keep = (stall[live] < config.patience) & (epoch < config.max_epochs - 1)
+            if (failed_at <= sse_step).any():
+                ks = np.array([a.k for a in stack.archs])
+                k = ks[np.argmax(failed_at <= sse_step)]  # rows come in ascending k
+                row = int(np.argmin(np.where(ks == k, failed_at, sse_step + 1)))
+                what = "loss" if failed_at[row] < sse_step else "SSE"
+                failure = NonFiniteLoss(f"{what} diverged at epoch {epoch}", epoch, nets[live[row]].seed, int(k))
+                keep &= ks < k
+            if not keep.all():
+                leave(keep)
+                if not live.size:
+                    break
 
     if failure is not None:
         raise failure

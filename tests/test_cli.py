@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,19 @@ class TestErrorPaths:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite cell at row 3, column 'p_0'") and err.count("\n") == 1
+
+    def test_diverging_training_prints_one_error_line(self, tmp_path, capsys):
+        # The loss overflows in the first epoch; numpy's overflow warnings
+        # would repeat on stderr what the error line says.
+        csv = gen_r2(tmp_path, rows=200)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = ["--k", "1", "--lr", "1e200", "--max-epochs", "30", "--out", str(tmp_path / "m.json")]
+            rc = main(["train", "--data", str(csv), *args])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: loss diverged at epoch 0\n"
+        assert [str(w.message) for w in caught] == []
 
     def test_corrupt_model_analyze(self, tmp_path, capsys):
         bad = tmp_path / "model.json"

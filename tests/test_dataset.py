@@ -110,6 +110,12 @@ class TestLoadCsv:
             D.load_csv(f)
         assert info.value.row == row and info.value.col == col
 
+    def test_negative_time(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_lines(f, ["s_0,time", "0,1.0", "1,-0.5", "1,2.0"])
+        with pytest.raises(D.DatasetError, match="^negative execution time$"):
+            D.load_csv(f)
+
     def test_sidecar_violation(self, tmp_path):
         f = tmp_path / "t.csv"
         write_lines(f, ["s_0,time", "0,1.0", "5,2.0"])
@@ -207,6 +213,120 @@ class TestLoadCsv:
             "0", "0", "999999999999999", "1000000000000000.0", "1e+16",
             "-3", "0.1", "1e-05", "2.5e-300", "-562949953421312",
         ]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_write_matches_fmt_cell_seeded(self, tmp_path, monkeypatch, seed):
+        # Label tables of at most 16 labels, and 12 or 24 rows, so that the
+        # ranges below fall below, at and above both the table bound and the
+        # row count; binary runs are broken by float and wide columns.
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([12, 24]))
+        monkeypatch.setattr(D, "WRITE_BLOCK", 5)
+        monkeypatch.setattr(D, "WRITE_TABLE", 16)
+        special = [0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 1e16, -1e16, 2.0**52, 0.5]
+
+        def column():
+            kind = rng.integers(6)
+            if kind == 0:
+                return rng.integers(0, 2, size=n).astype(np.float64)
+            if kind == 1:  # an integral range of exactly `size` values
+                size, lo = int(rng.choice([2, 11, 12, 13, 15, 16, 17, 23, 24, 25])), int(rng.integers(-30, 5))
+                col = rng.integers(lo, lo + size, size=n).astype(np.float64)
+                col[rng.permutation(n)[:2]] = [lo, lo + size - 1]
+                return col
+            if kind == 2:  # floats with integral values among them
+                col = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 7)
+                col[rng.random(n) < 0.3] = rng.integers(-9, 9)
+                return col
+            if kind == 3:
+                return rng.choice(special, size=n)
+            if kind == 4:  # two integral values just below or at 1e15 in magnitude
+                top = rng.choice([1e15 - 1, 1e15])
+                return rng.choice([-1.0, 1.0]) * rng.choice([top - 1, top], size=n)
+            return rng.choice([-0.0, 0.0, 1.0, 1e15 - 1, -(1e15 - 1)], size=n)
+
+        n_secret, n_public = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+        x, y = np.zeros((n, 0)), np.zeros((n, 0))
+        if n_secret:
+            x = np.column_stack([column() for _ in range(n_secret)])
+        if n_public:
+            y = np.column_stack([column() for _ in range(n_public)])
+        schema = D.FeatureSchema(
+            tuple((f"s_{j}", D.Binary()) for j in range(n_secret)), tuple(f"p_{j}" for j in range(n_public))
+        )
+        ds = D.TraceDataset(schema, x, y, column(), validate=False)
+        f = tmp_path / "t.csv"
+        D.write_csv(ds, f)
+        expected = ",".join([*(n for n, _ in schema.secret_features), *schema.public_features, "time"]) + "\r\n"
+        expected += "".join(
+            ",".join(D._fmt_cell(v) for v in (*ds.x[r], *ds.y[r], ds.t[r])) + "\r\n" for r in range(ds.n_rows)
+        )
+        assert f.read_bytes() == expected.encode("utf-8")
+
+    def test_write_fields_group_adjacent_integral_columns(self, monkeypatch):
+        monkeypatch.setattr(D, "WRITE_TABLE", 16)
+        bits = np.arange(20) % 2
+        wide = np.arange(20.0) - 5  # 20 values: more than WRITE_TABLE labels
+        columns = [bits, bits, bits, bits, bits + 0.5, bits, bits, np.arange(4.0).repeat(5), wide, bits]
+        # [4 bits], float, [2 bits, one of 4 values], wide, [1 bit]
+        assert len(D._fields(columns, 20)) == 5
+        # At most as many labels as rows: 8 rows allow a table of 3 bits, not
+        # 4, and not one of two columns of 3 values each.
+        assert len(D._fields([c[:8] for c in columns[:4]], 8)) == 2
+        assert len(D._fields([np.arange(8.0) % 3] * 2, 8)) == 2
+
+    @pytest.mark.parametrize("first, later", [(np.nan, np.inf), (np.inf, np.nan), (-np.inf, np.nan)])
+    def test_write_non_finite_raises_as_fmt_cell(self, tmp_path, first, later):
+        # The first non-finite value in row order raises, not the first in column order.
+        schema = D.FeatureSchema((("s_0", D.Binary()),), ("p_0",))
+        x, y, t = np.zeros((6, 1)), np.ones((6, 1)), np.ones(6)
+        t[2], x[3, 0] = first, later
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            D._fmt_cell(first)
+        with pytest.raises(expected.type, match=f"^{expected.value}$"):
+            D.write_csv(D.TraceDataset(schema, x, y, t, validate=False), tmp_path / "t.csv")
+
+    def test_load_returns_read_only_views_of_one_table(self, tmp_path):
+        ds = D.gen_rn_preset("R_3", rows=50, noise_std=0.02, seed=9)
+        f = tmp_path / "t.csv"
+        D.write_csv(ds, f)
+        loaded = D.load_csv(f)
+        assert [a.tolist() for a in (loaded.x, loaded.y, loaded.t)] == [a.tolist() for a in (ds.x, ds.y, ds.t)]
+        assert loaded.x.base is not None and loaded.x.base is loaded.y.base is loaded.t.base
+        assert not any(a.flags.writeable for a in (loaded.x, loaded.y, loaded.t))
+
+    def test_interleaved_columns_load_as_copies(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_lines(f, ["s_a,p_b,s_c,time", "0,5,-1,1.5", "1,6,1,2.5", "1,7,0,0"])
+        ds = D.load_csv(f)
+        assert ds.x.tolist() == [[0, -1], [1, 1], [1, 0]]
+        assert ds.y.tolist() == [[5], [6], [7]] and ds.t.tolist() == [1.5, 2.5, 0.0]
+        assert ds.schema == D.FeatureSchema((("s_a", D.Binary()), ("s_c", D.IntRange(-1, 1))), ("p_b",))
+        assert not np.may_share_memory(ds.x, ds.t) and not ds.x.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cell, domain, error",
+        [
+            ("9", {"int": [0, 3]}, "secret value 9.0 at row 8 outside domain of 's_1'"),
+            ("-1", "binary", "secret value -1.0 at row 8 outside domain of 's_1'"),
+            ("2.5", "binary", "secret value 2.5 at row 8 outside domain of 's_1'"),
+        ],
+        ids=["above-int-domain", "below-binary", "non-integral"],
+    )
+    def test_secret_error_mid_block_names_its_cell(self, tmp_path, monkeypatch, cell, domain, error):
+        # Rows are checked in blocks of 4: the bad cell is the third row of the second block.
+        monkeypatch.setattr(D, "WRITE_BLOCK", 4)
+        lines = ["s_0,s_1,p_0,time"] + [f"{r % 2},{r % 2},{r},1.5" for r in range(10)]
+        lines[7] = f"1,{cell},6,1.5"  # row 8: the header is row 1
+        f = tmp_path / "t.csv"
+        write_lines(f, lines)
+        sc = tmp_path / "t.schema.json"
+        secret = [{"name": "s_0", "domain": "binary"}, {"name": "s_1", "domain": domain}]
+        sc.write_text(json.dumps({"secret": secret, "public": ["p_0"]}))
+        for sidecar in (sc, None) if cell == "2.5" else (sc,):
+            with pytest.raises(D.SecretValueOutOfDomain) as info:
+                D.load_csv(f, sidecar=sidecar)
+            assert (info.value.row, info.value.col, str(info.value)) == (8, "s_1", error)
 
     @pytest.mark.parametrize("body, arrays", LOADING_FILES)
     def test_corpus_loads(self, tmp_path, body, arrays):
