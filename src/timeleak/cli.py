@@ -105,6 +105,14 @@ def _widths(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def widths(text: str) -> str:
+    """A --*-widths value, checked at parse time: hidden widths >= 1, comma
+    separated, or none. It stays the text given, which manifests echo."""
+    if min(_widths(text), default=1) < 1:
+        raise ValueError(text)
+    return text
+
+
 def _load_traces(args) -> dataset.TraceDataset:
     data = Path(args.data)
     sidecar = getattr(args, "sidecar", None)
@@ -317,9 +325,9 @@ def cmd_report(args) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--secret-widths", default="10", help="comma-separated secret hidden widths")
-    p.add_argument("--public-widths", default="10", help="comma-separated public hidden widths")
-    p.add_argument("--joint-widths", default="20", help="comma-separated joint hidden widths")
+    p.add_argument("--secret-widths", type=widths, default="10", help="comma-separated secret hidden widths")
+    p.add_argument("--public-widths", type=widths, default="10", help="comma-separated public hidden widths")
+    p.add_argument("--joint-widths", type=widths, default="20", help="comma-separated joint hidden widths")
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--max-epochs", type=int, default=2000)

@@ -418,14 +418,23 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuf
     return tally
 
 
+def _check_domain(reducer: ReducerNet, dom: SecretDomain) -> None:
+    """A census searches a non-empty box inside the reducer's domains: its
+    tie tolerance bounds the terms of a pre-activation only there."""
+    if dom.n_features != reducer.n_features:
+        raise CounterError("domain does not match reducer input width")
+    for j, (lo, hi, d) in enumerate(zip(dom.los, dom.his, reducer.domains)):
+        if not d.lo <= lo <= hi <= d.hi:
+            raise CounterError(f"secret feature {j}'s range [{lo}, {hi}] is no range inside the reducer's domain [{d.lo}, {d.hi}]")
+
+
 def brute_force_census(reducer: ReducerNet, dom: SecretDomain, cap: int | None = None) -> ClassCensus:
     """Evaluate the reducer on every domain element and tally exactly; the
     counts are capped like the branch-and-bound census."""
     total = dom.size
     if total > BRUTE_FORCE_LIMIT:
         raise DomainTooLarge(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
-    if dom.n_features != reducer.n_features:
-        raise CounterError("domain does not match reducer input width")
+    _check_domain(reducer, dom)
     census = census_from_sizes(_tally(reducer, dom.los, dom.his), cap, reducer.k)
     return replace(census, nodes=total)
 
@@ -509,8 +518,7 @@ def bnb_census(
         raise CounterError("cap must be >= 1")
     if budget < 1:
         raise CounterError("budget must be >= 1")
-    if dom.n_features != reducer.n_features:
-        raise CounterError("domain does not match reducer input width")
+    _check_domain(reducer, dom)
     # No count exceeds the domain size, so counts saturate at the cap or just
     # above the domain size, whichever is lower.
     saturation = min(cap, dom.size + 1)

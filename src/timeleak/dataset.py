@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jsonio import FieldError, get, read_json
+from .jsonio import FieldError, get, numbers, read_json
 
 # Offset added to generated times so multiplicative noise acts on a positive base.
 GEN_BASE_TIME = 10.0
@@ -547,6 +547,27 @@ def normalizer_to_json(norm: Normalizer) -> dict:
         "time_shift": norm.time_shift,
         "time_scale": norm.time_scale,
     }
+
+
+def normalizer_from_json(obj, n_secret: int, n_public: int) -> Normalizer:
+    """The `normalizer` object of a model, each field checked against the
+    model's feature counts. `fit_normalizer` writes only positive scales and
+    denominators."""
+    fields = {}
+    for name, n in (("secret_shift", n_secret), ("secret_denom", n_secret), ("public_shift", n_public),
+                    ("public_scale", n_public), ("time_shift", None), ("time_scale", None)):
+        if name not in obj:
+            raise FieldError(f"normalizer {name} is missing")
+        arr = numbers(obj[name], () if n is None else (n,))
+        if arr is None:
+            must = "be a number" if n is None else f"hold {n} values, one per {name.split('_')[0]} feature"
+            raise FieldError(f"normalizer {name} must {must}, got {obj[name]!r:.40}")
+        if not np.isfinite(arr).all():
+            raise FieldError(f"normalizer values are not all finite: {name}")
+        if name.endswith(("denom", "scale")) and not (arr > 0).all():
+            raise FieldError(f"normalizer {name} {'must be' if n is None else 'values must all be'} > 0")
+        fields[name] = float(arr) if n is None else arr
+    return Normalizer(**fields)
 
 
 # ---------------------------------------------------------------------------

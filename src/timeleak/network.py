@@ -9,7 +9,9 @@ lockstep `Stack`: a layer role whose shape does not depend on k is one array
 over all the models that have it, and the layers whose shape does (the
 interface and the first joint weights) are one array per run of equal k.
 Nothing is padded, so each model gets the same bits it would get training
-alone.
+alone. A single model is a one-model `Stack`, so the parameter layout has
+one description, `_stack_views`, and a model's named layers are views of
+its stack's role arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .dataset import (
     Normalizer,
     TraceDataset,
     fit_normalizer,
+    normalizer_from_json,
     normalizer_to_json,
     schema_from_json,
     schema_to_json,
@@ -78,8 +81,8 @@ class Architecture:
         object.__setattr__(self, "secret_widths", tuple(self.secret_widths))
         object.__setattr__(self, "public_widths", tuple(self.public_widths))
         object.__setattr__(self, "joint_widths", tuple(self.joint_widths))
-        if self.k < 0:
-            raise DimensionMismatch("interface width k must be >= 0")
+        if not 0 <= self.k <= MAX_K:
+            raise DimensionMismatch(f"interface width k must be >= 0 and <= {MAX_K}, got {self.k}")
         if self.n_secret < 0 or self.n_public < 0 or (self.n_secret == 0 and self.n_public == 0):
             raise DimensionMismatch("need at least one input feature")
         if self.k > 0 and self.n_secret == 0:
@@ -125,52 +128,6 @@ class TrainConfig:
 Layer = tuple[np.ndarray, np.ndarray]  # weight (out, in), bias (out,)
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(arch: Architecture) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """(out, in, offset) of every layer in canonical order (secret stack,
-    interface, public stack, joint stack, output; a k=0 model has no secret
-    branch) and the total parameter count. Each layer stores its weight
-    row-major, then its bias."""
-    shapes: list[tuple[int, int]] = []
-
-    def stack(d: int, widths: tuple[int, ...]) -> int:
-        for w_out in widths:
-            shapes.append((w_out, d))
-            d = w_out
-        return d
-
-    if arch.k > 0:
-        shapes.append((arch.k, stack(arch.n_secret, arch.secret_widths)))
-    stack(arch.n_public, arch.public_widths)
-    shapes.append((1, stack(arch.joint_in_dim, arch.joint_widths)))
-    layout, at = [], 0
-    for n_out, n_in in shapes:
-        layout.append((n_out, n_in, at))
-        at += n_out * (n_in + 1)
-    return tuple(layout), at
-
-
-def parameter_count(arch: Architecture) -> int:
-    return _layout(arch)[1]
-
-
-def layer_views(arch: Architecture, vec: np.ndarray) -> list[Layer]:
-    """Weight/bias views into a vector laid out like `TriBranchNetwork.flat`."""
-    return [
-        (vec[at : at + n_out * n_in].reshape(n_out, n_in), vec[at + n_out * n_in : at + n_out * (n_in + 1)])
-        for n_out, n_in, at in _layout(arch)[0]
-    ]
-
-
-def _branches(arch: Architecture, layers: list[Layer]):
-    """Split canonical-order layers into (secret, iface, public, joint, out)."""
-    n_sec = len(arch.secret_widths) if arch.k > 0 else 0
-    n_front = n_sec + (arch.k > 0)
-    n_pub = len(arch.public_widths)
-    iface = layers[n_sec] if arch.k > 0 else None
-    return layers[:n_sec], iface, layers[n_front : n_front + n_pub], layers[n_front + n_pub : -1], layers[-1]
-
-
 def _runs(archs: tuple[Architecture, ...]) -> tuple[tuple[int, int, int], ...]:
     """(k, first row, end row) of each run of equal k in a k-sorted model list."""
     runs, lo = [], 0
@@ -181,10 +138,12 @@ def _runs(archs: tuple[Architecture, ...]) -> tuple[tuple[int, int, int], ...]:
     return tuple(runs)
 
 
-def _stack_views(archs: tuple[Architecture, ...], vec: np.ndarray):
+def _stack_views(archs: tuple[Architecture, ...], vec: np.ndarray | None = None):
     """The role views of a buffer laid out like `Stack.flat` (secret, iface,
     public, joint), and every view paired with the stack row of its first
-    model, in buffer order."""
+    model, in buffer order. This walk is the one statement of the parameter
+    layout. Without a buffer each view's shape stands in its place, so the
+    layout is known before anything of its size is allocated."""
     a, m, runs = archs[0], len(archs), _runs(archs)
     first_secret = 0 if runs[0][0] else runs[0][2]
     blocks: list[tuple[np.ndarray, int]] = []
@@ -193,7 +152,7 @@ def _stack_views(archs: tuple[Architecture, ...], vec: np.ndarray):
     def take(first: int, *shape: int) -> np.ndarray:
         nonlocal at
         size = math.prod(shape)
-        view = vec[at : at + size].reshape(shape)
+        view = shape if vec is None else vec[at : at + size].reshape(shape)
         at += size
         blocks.append((view, first))
         return view
@@ -215,14 +174,13 @@ def _stack_views(archs: tuple[Architecture, ...], vec: np.ndarray):
     widths = (*a.joint_widths, 1)
     first = ([take(lo, hi - lo, widths[0], k + p) for k, lo, hi in runs], take(0, m, widths[0]))
     rest, _ = relu_stack(0, m, widths[0], widths[1:])
-    if at != vec.size:
-        raise DimensionMismatch("parameter vector does not match the stacked architectures")
     return (secret, iface, public, [first, *rest]), blocks
 
 
 class Stack:
     """Models that differ only in k, in ascending k, evaluated and trained as
-    one network on (M, rows, d) batches, one (rows, d) slice per model.
+    one network on (M, rows, d) batches, one (rows, d) slice per model. A
+    single model is a one-model stack (`TriBranchNetwork.stack`).
 
     A layer role whose shape does not depend on k is one array over every
     model that has it, model axis first: the secret stack (the k >= 1
@@ -232,10 +190,10 @@ class Stack:
     array per run of equal k (`runs`). Nothing is padded, and numpy's stacked
     matmuls run one model slice at a time, so each model's slice is computed
     exactly as it would be alone. All arrays are views into `flat`, role
-    after role, weights before biases; for one model that is the layout of
-    `TriBranchNetwork.flat`. `joint[0]` is (per-run weights, bias). `bound`
-    holds the same roles as the forward pass reads them, each weight
-    transposed and each bias as a row (`_bind`)."""
+    after role, weights before biases (`_stack_views`). `joint[0]` is
+    (per-run weights, bias). `bound` holds the same roles as the forward
+    pass reads them, each weight transposed and each bias as a row
+    (`_bind`)."""
 
     def __init__(self, archs, flat: np.ndarray | None = None):
         self.archs = tuple(archs)
@@ -247,7 +205,7 @@ class Stack:
         self.runs = _runs(self.archs)
         self.n_plain = 0 if self.runs[0][0] else self.runs[0][2]  # the k = 0 models come first
         self.secret_runs = self.runs[1:] if self.n_plain else self.runs
-        size = sum(parameter_count(a) for a in self.archs)
+        size = sum(math.prod(shape) for shape, _ in _stack_views(self.archs)[1])
         self.flat = np.zeros(size) if flat is None else flat
         if self.flat.shape != (size,) or self.flat.dtype != np.float64:
             raise DimensionMismatch("parameter vector does not match the stacked architectures")
@@ -268,10 +226,11 @@ class Stack:
 
 @dataclass(eq=False)
 class TriBranchNetwork:
-    """One model. Every weight and bias lives in one contiguous float64
-    vector, `flat`; the layer attributes are views into it, so an in-place
-    edit of either is seen by both. `stack` is the one-model `Stack` over
-    the same vector, which the forward and backward passes run on."""
+    """One model: its one-model `Stack` over one contiguous float64 vector,
+    `flat`, which holds every weight and bias. The layer attributes are the
+    stack's role views with the model axis dropped, so an in-place edit of
+    either is seen by both. The forward and backward passes run on
+    `stack`."""
 
     arch: Architecture
     flat: np.ndarray
@@ -287,26 +246,34 @@ class TriBranchNetwork:
     stack: Stack = field(init=False)
 
     def __post_init__(self):
-        if self.flat.shape != (parameter_count(self.arch),) or self.flat.dtype != np.float64:
-            raise DimensionMismatch("parameter vector does not match the architecture")
-        self.secret_layers, self.iface, self.public_layers, self.joint_layers, self.out_layer = _branches(
-            self.arch, layer_views(self.arch, self.flat)
-        )
-        self.stack = Stack((self.arch,), self.flat)
+        self.stack = stack = Stack((self.arch,), self.flat)
+        (first_w, first_b), *rest = stack.joint
+        roles = (stack.secret, stack.iface, stack.public, [(first_w[0], first_b), *rest])
+        self.secret_layers, iface, self.public_layers, joint = ([(w[0], b[0]) for w, b in role] for role in roles)
+        self.iface = iface[0] if iface else None
+        *self.joint_layers, self.out_layer = joint
 
     @property
     def k(self) -> int:
         return self.arch.k
 
+    @property
+    def layers(self) -> list[Layer]:
+        """Every layer in canonical order, which is the order of `flat`:
+        secret stack, interface, public stack, joint stack, output (a k = 0
+        model has no secret branch)."""
+        iface = [self.iface] if self.iface is not None else []
+        return [*self.secret_layers, *iface, *self.public_layers, *self.joint_layers, self.out_layer]
+
 
 def init(arch: Architecture, seed: int) -> TriBranchNetwork:
     """He-style uniform fan-in initialization with zero biases; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    flat = np.zeros(parameter_count(arch))
-    for w, _ in layer_views(arch, flat):
+    net = TriBranchNetwork(arch, Stack((arch,)).flat, seed=seed)
+    for w, _ in net.layers:
         limit = np.sqrt(6.0 / max(w.shape[1], 1))
         w[...] = rng.uniform(-limit, limit, size=w.shape)
-    return TriBranchNetwork(arch, flat, seed=seed)
+    return net
 
 
 def _bind(layers: list[Layer]) -> list[Layer]:
@@ -493,16 +460,16 @@ def _relu_stack_backward(records, h: np.ndarray | None) -> None:
 
 
 def loss_and_gradients(
-    net: TriBranchNetwork | Stack,
+    stack: Stack,
     batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     ste_clip: float = 1.0,
     ws: Workspace | None = None,
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean squared error over a normalized batch plus reverse-mode gradients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared error of each model of `stack` over its slice of
+    normalized (M, rows, d) batches, plus reverse-mode gradients.
 
-    One model takes (rows, d) batches and returns one loss; a `Stack` takes
-    (M, rows, d) batches, one per model, and returns one loss per model. The
-    gradient is laid out like the parameters (`flat`). The loss is not
+    The M losses come back as one array, and the gradient is laid out like
+    the parameters (`stack.flat`). The loss is not
     checked here: a non-finite loss gives non-finite gradients. At the
     interface threshold the backward pass uses the straight-through
     surrogate: the incoming gradient passes unchanged where the
@@ -511,9 +478,7 @@ def loss_and_gradients(
     gradient returned is `ws.grad`. Every array of the pass but the losses
     is one of `ws`, and every view of them it reads is bound there.
     """
-    one = isinstance(net, TriBranchNetwork)
-    stack = net.stack if one else net
-    xn, yn, tn = (a[None] for a in batch) if one else batch
+    xn, yn, tn = batch
     rows = tn.shape[-1]
     if rows == 0:
         raise NetworkError("batch must be non-empty")
@@ -558,14 +523,17 @@ def loss_and_gradients(
     _relu_stack_backward(ws.secret_back, xn[stack.n_plain :])
     _relu_stack_backward(ws.public_back, yn)
 
-    return (loss[0] if one else loss), ws.grad
+    return loss, ws.grad
 
 
 @dataclass
 class AdamState:
+    """Adam's first and second moments, shaped like the parameters, and the
+    number of steps taken."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
 
 
 def adam_step(
@@ -574,11 +542,8 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place, of a parameter vector (one
-    model's or a stack's, whose models always share the step count)."""
-    if state.m is None:
-        state.m = np.zeros_like(params)
-        state.v = np.zeros_like(params)
+    """One bias-corrected Adam update, in place, of a parameter vector and
+    the moments in `state` (a stack's models always share the step count)."""
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
@@ -850,38 +815,18 @@ def _stored_arrays(weights, arch: Architecture) -> list[np.ndarray]:
                 named.append((f"weights.{group}", layer))
         else:
             named += [(f"weights.{group}[{i}]", item) for i, item in enumerate(get(weights, group, list, where="weights"))]
-    layout = _layout(arch)[0]
-    if len(named) != len(layout):
-        raise FieldError(f"weights hold {len(named)} layers, the architecture has {len(layout)}")
+    shapes = [shape[1:] for shape, _ in _stack_views((arch,))[1]]  # each layer's w, then its b
+    if 2 * len(named) != len(shapes):
+        raise FieldError(f"weights hold {len(named)} layers, the architecture has {len(shapes) // 2}")
     arrays = []
-    for (name, layer), (n_out, n_in, _) in zip(named, layout):
-        for key, shape in (("w", (n_out, n_in)), ("b", (n_out,))):
-            arrays.append(numbers(get(layer, key, where=name), shape))
-            if arrays[-1] is None:
-                raise FieldError(f"{name}.{key} must be an array of numbers of shape {shape}")
-            if not np.isfinite(arrays[-1]).all():
-                raise FieldError("weights are not all finite")
+    for i, shape in enumerate(shapes):
+        (name, layer), key = named[i // 2], "wb"[i % 2]
+        arrays.append(numbers(get(layer, key, where=name), shape))
+        if arrays[-1] is None:
+            raise FieldError(f"{name}.{key} must be an array of numbers of shape {shape}")
+        if not np.isfinite(arrays[-1]).all():
+            raise FieldError("weights are not all finite")
     return arrays
-
-
-def _normalizer_from_json(obj, arch: Architecture) -> Normalizer:
-    """The `normalizer` object, each field checked against the architecture.
-    `fit_normalizer` writes only positive scales and denominators."""
-    fields = {}
-    for name, n in (("secret_shift", arch.n_secret), ("secret_denom", arch.n_secret), ("public_shift", arch.n_public),
-                    ("public_scale", arch.n_public), ("time_shift", None), ("time_scale", None)):
-        if name not in obj:
-            raise FieldError(f"normalizer {name} is missing")
-        arr = numbers(obj[name], () if n is None else (n,))
-        if arr is None:
-            must = "be a number" if n is None else f"hold {n} values, one per {name.split('_')[0]} feature"
-            raise FieldError(f"normalizer {name} must {must}, got {obj[name]!r:.40}")
-        if not np.isfinite(arr).all():
-            raise FieldError(f"normalizer values are not all finite: {name}")
-        if name.endswith(("denom", "scale")) and not (arr > 0).all():
-            raise FieldError(f"normalizer {name} {'must be' if n is None else 'values must all be'} > 0")
-        fields[name] = float(arr) if n is None else arr
-    return Normalizer(**fields)
 
 
 def from_json(obj: dict) -> TriBranchNetwork:
@@ -905,11 +850,11 @@ def from_json(obj: dict) -> TriBranchNetwork:
                 raise FieldError("schema features do not match architecture.n_secret / n_public")
         normalizer = get(obj, "normalizer", dict, type(None), default=None)
         if normalizer is not None:
-            normalizer = _normalizer_from_json(normalizer, arch)
+            normalizer = normalizer_from_json(normalizer, arch.n_secret, arch.n_public)
         seed, metrics = get(obj, "seed", int, lo=0, default=0), get(obj, "metrics", dict, type(None), default=None)
     except FieldError as exc:
         raise ModelFormatError(f"model {exc}") from None
-    flat = np.concatenate([a.ravel() for a in arrays])  # the layout of `_layout`
+    flat = np.concatenate([a.ravel() for a in arrays])  # the layout of the one-model stack
     return TriBranchNetwork(arch, flat, normalizer=normalizer, schema=schema, seed=seed, metrics=metrics)
 
 

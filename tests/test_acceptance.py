@@ -168,12 +168,12 @@ def test_criterion_3_gradient_correctness():
             if _relu_kink_distance(net, batch) < 1e-4:
                 continue  # finite differences are invalid across a ReLU kink
             trials += 1
-            _, grad = N.loss_and_gradients(net, batch)
+            _, grad = N.loss_and_gradients(net.stack, tuple(a[None] for a in batch))
 
             def non_ste(vec):
                 # Public, joint and output arrays: no straight-through surrogate.
-                _, _, public, joint, out = N._branches(arch, N.layer_views(arch, vec))
-                return [a for layer in (*public, *joint, out) for a in layer]
+                v = N.TriBranchNetwork(arch, vec)
+                return [a for layer in (*v.public_layers, *v.joint_layers, v.out_layer) for a in layer]
 
             def loss_at(b=batch):
                 t_hat, _ = N.predict_batch(net, b[0], b[1])

@@ -276,6 +276,22 @@ class TestErrorPaths:
         assert capsys.readouterr().err == "error: loss diverged at epoch 0\n"
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("command", ["sweep", "train"])
+    def test_k_beyond_max_exits_3_before_training(self, tmp_path, capsys, command):
+        # The counter holds a valuation in an int64, so a wider interface is
+        # refused when the network is built, not after training.
+        csv = gen_r2(tmp_path, rows=60)
+        out, k = tmp_path / "out", str(N.MAX_K + 1)
+        if command == "sweep":
+            args = ["--k-max", k, "--seeds-per-k", "1", "--out-dir", str(out)]
+        else:
+            args = ["--k", k, "--out", str(out / "m.json")]
+        capsys.readouterr()
+        assert main([command, "--data", str(csv), *args] + QUICK_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert f"interface width k must be >= 0 and <= {N.MAX_K}, got {k}\n" in err and err.count("\n") == 1
+        assert not list(out.rglob("*.json"))
+
     def test_corrupt_model_analyze(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("{broken")
@@ -446,6 +462,14 @@ class TestTrainCommand:
         assert "test SSE" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flag, value", [("--secret-widths", "10,x"), ("--public-widths", "0"), ("--joint-widths", "5,,5")])
+    def test_malformed_widths_are_a_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tmp_path / "t.csv"), "--k", "1", flag, value, "--out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid widths value: '{value}'" in capsys.readouterr().err
+
+
 class TestSweepFlags:
     def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -490,8 +514,9 @@ class TestConfigFile:
             (["gen", "--family", "rn", "--preset", "R_2"], {"rows": True}, "rows"),
             (["gen", "--family", "rn", "--preset", "R_2"], {"rows": "20.5"}, "rows"),
             (["sweep", "--data", "DATA"], {"k_max": [1]}, "k_max"),
+            (["train", "--data", "DATA", "--k", "1"], {"secret_widths": "10,x"}, "secret_widths"),
         ],
-        ids=["choice-outside", "bool-for-int", "float-text-for-int", "list-for-int"],
+        ids=["choice-outside", "bool-for-int", "float-text-for-int", "list-for-int", "malformed-widths"],
     )
     def test_config_value_its_flag_refuses_is_a_usage_error(self, tmp_path, capsys, command, config, key):
         # A value from the file is taken only where the same value passes on

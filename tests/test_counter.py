@@ -351,6 +351,21 @@ class TestBruteForce:
             C.brute_force_census(reducer, C.SecretDomain(los=(0,), his=(2**21,)))
 
 
+    @pytest.mark.parametrize(
+        "census", [C.brute_force_census, lambda reducer, dom: C.bnb_census(reducer, dom, cap=100)], ids=["brute", "bnb"]
+    )
+    def test_domain_outside_the_reducer_domains_rejected(self, census):
+        # The tie tolerance bounds the terms of a pre-activation over the
+        # reducer's domains only; far outside them, cancelling terms exceed
+        # it and a bit can be decided wrongly. An empty range (lo > hi) gave
+        # a negative count. A sub-box is searched.
+        reducer = hand_reducer([[1.0, -1.0]], [0.0], (D.IntRange(0, 10),) * 2)
+        for los, his in (((10**9, 0), (10**9, 10)), ((0, -1), (10, 10)), ((0, 0), (11, 10)), ((0, 5), (10, 3))):
+            with pytest.raises(C.CounterError, match="is no range inside the reducer's domain"):
+                census(reducer, C.SecretDomain(los, his))
+        assert census(reducer, C.SecretDomain((3, 0), (5, 10))).counts == (18, 15)
+
+
 class TestPropagateBounds:
     def test_affine_over_unit_box(self, and_gate_reducer):
         lb, ub = bounds(and_gate_reducer, (0, 0), (1, 1))

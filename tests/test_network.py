@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,14 +31,21 @@ def loss_only(net, batch):
 
 def split_like(net, vec):
     """The arrays of a flat-layout vector, in canonical layer order."""
-    return [a for layer in N.layer_views(net.arch, vec) for a in layer]
+    return [a for layer in N.TriBranchNetwork(net.arch, vec).layers for a in layer]
 
 
 def non_ste_arrays(arch, vec):
     """The public, joint and output arrays of a flat-layout vector: those whose
     gradients do not pass the straight-through surrogate."""
-    _, _, public, joint, out = N._branches(arch, N.layer_views(arch, vec))
-    return [a for layer in (*public, *joint, out) for a in layer]
+    net = N.TriBranchNetwork(arch, vec)
+    return [a for layer in (*net.public_layers, *net.joint_layers, net.out_layer) for a in layer]
+
+
+def model_loss_and_gradients(net, batch, ste_clip=1.0):
+    """`loss_and_gradients` of one model on (rows, d) batches, through its
+    one-model stack: the model's loss and its gradient vector."""
+    loss, grad = N.loss_and_gradients(net.stack, tuple(a[None] for a in batch), ste_clip)
+    return loss[0], grad
 
 
 def fd_gradient(net, batch, param, i, j=None, h=1e-6):
@@ -135,7 +144,7 @@ class TestGradients:
             )
             net = N.init(arch, seed=trial)
             batch = (rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), rng.normal(size=5))
-            _, grad = N.loss_and_gradients(net, batch)
+            _, grad = model_loss_and_gradients(net, batch)
             for p, g in zip(non_ste_arrays(arch, net.flat), non_ste_arrays(arch, grad)):
                 flat_p = p.reshape(-1)
                 flat_g = g.reshape(-1)
@@ -152,37 +161,37 @@ class TestGradients:
         net.iface[0][...] = 1.0
         net.iface[1][...] = 0.0
         batch = (np.full((4, 1), 2.0), np.linspace(0, 1, 4).reshape(4, 1), np.ones(4))
-        _, grad = N.loss_and_gradients(net, batch, ste_clip=1.0)
+        _, grad = model_loss_and_gradients(net, batch, ste_clip=1.0)
         grads = split_like(net, grad)
         assert np.all(grads[0] == 0.0) and np.all(grads[1] == 0.0)
         # With a wide enough clip the same unit passes gradient again.
-        _, grad = N.loss_and_gradients(net, batch, ste_clip=2.0)
+        _, grad = model_loss_and_gradients(net, batch, ste_clip=2.0)
         assert np.any(split_like(net, grad)[0] != 0.0)
 
     def test_duplicated_rows_keep_mean_semantics(self, rng):
         net = N.init(tiny_arch(k=2), seed=1)
         x, y, t = rng.normal(size=(5, 2)), rng.normal(size=(5, 3)), rng.normal(size=5)
-        loss1, grad1 = N.loss_and_gradients(net, (x, y, t))
-        loss2, grad2 = N.loss_and_gradients(net, (np.tile(x, (2, 1)), np.tile(y, (2, 1)), np.tile(t, 2)))
+        loss1, grad1 = model_loss_and_gradients(net, (x, y, t))
+        loss2, grad2 = model_loss_and_gradients(net, (np.tile(x, (2, 1)), np.tile(y, (2, 1)), np.tile(t, 2)))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_allclose(grad1, grad2, rtol=1e-12, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         net = N.init(tiny_arch(), seed=0)
         with pytest.raises(N.NetworkError):
-            N.loss_and_gradients(net, (np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0)))
+            N.loss_and_gradients(net.stack, (np.zeros((1, 0, 2)), np.zeros((1, 0, 3)), np.zeros((1, 0))))
 
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
         p = np.array([1.0, -2.0])
-        N.adam_step(p, np.zeros(2), N.AdamState(), N.TrainConfig())
+        N.adam_step(p, np.zeros(2), N.AdamState(np.zeros(2), np.zeros(2)), N.TrainConfig())
         assert p.tolist() == [1.0, -2.0]
 
     def test_first_step_magnitude(self):
         # Bias correction makes the first step almost exactly the learning rate.
         p = np.array([0.0])
-        N.adam_step(p, np.array([1.0]), N.AdamState(), N.TrainConfig(learning_rate=0.1))
+        N.adam_step(p, np.array([1.0]), N.AdamState(np.zeros(1), np.zeros(1)), N.TrainConfig(learning_rate=0.1))
         assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_two_runs_identical(self, rng):
@@ -190,7 +199,7 @@ class TestAdam:
         outs = []
         for _ in range(2):
             p = np.zeros(3)
-            state = N.AdamState()
+            state = N.AdamState(np.zeros(3), np.zeros(3))
             for g in grads_seq:
                 N.adam_step(p, g, state, N.TrainConfig())
             outs.append(p.copy())
@@ -455,15 +464,16 @@ def reference_train(ds_train, ds_valid, arch, config):
 
 class TestFlatParameters:
     def test_layers_are_views_of_flat(self, tmp_path):
+        # The named layers, in canonical order, tile `flat`, and the model's
+        # one-model stack runs on that same vector.
         net = N.init(tiny_arch(k=2), seed=4)
         N.save(net, tmp_path / "m.json")
         for built in (net, N.from_json(N.to_json(net)), N.load(tmp_path / "m.json")):
-            assert built.flat.shape == (N.parameter_count(built.arch),)
             assert np.array_equal(built.flat, net.flat)
-            layers = (*built.secret_layers, built.iface, *built.public_layers, *built.joint_layers, built.out_layer)
-            arrays = [a for layer in layers for a in layer]
+            arrays = [a for layer in built.layers for a in layer]
             assert all(np.shares_memory(a, built.flat) for a in arrays)
             assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), built.flat)
+            assert built.stack.flat is built.flat and np.all(built.stack.owner == 0)
 
     def test_in_place_layer_edit_reaches_predictions(self, rng):
         net = N.init(tiny_arch(k=2), seed=4)
@@ -490,6 +500,23 @@ class TestFlatParameters:
         with pytest.raises(N.ModelFormatError):
             N.from_json(obj)
 
+    def test_reader_checks_shapes_before_allocating(self, tmp_path):
+        # A declared width of 10**12 puts terabytes of parameters in the
+        # architecture; the reader names the first misshapen array without
+        # allocating anything of the architecture's size.
+        obj = N.to_json(N.init(tiny_arch(), seed=0))
+        obj["architecture"]["secret_widths"] = [10**12]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        tracemalloc.start()
+        try:
+            with pytest.raises(N.ModelFormatError, match=r"weights\.secret\[0\]\.w must be an array of numbers"):
+                N.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_from_json_rejects_non_finite_values(self):
         obj = N.to_json(N.init(tiny_arch(), seed=0))
         obj["weights"]["iface"]["w"][0][0] = float("nan")
@@ -505,11 +532,11 @@ class TestFlatParameters:
         net = N.init(arch, seed=2)
         ref = LooseNet(net)
         config = N.TrainConfig(learning_rate=0.02)
-        state = N.AdamState()
+        state = N.AdamState(np.zeros_like(net.flat), np.zeros_like(net.flat))
         moments = ([np.zeros_like(p) for p in ref.parameters()], [np.zeros_like(p) for p in ref.parameters()])
         for t in range(1, 4):
             batch = (rng.integers(0, 2, size=(32, 3)).astype(float), rng.normal(size=(32, 7)), rng.normal(size=32))
-            loss, grad = N.loss_and_gradients(net, batch, ste_clip=4.0)
+            loss, grad = model_loss_and_gradients(net, batch, ste_clip=4.0)
             ref_loss, ref_grads = reference_loss_and_gradients(ref, batch, ste_clip=4.0)
             assert loss == ref_loss
             assert all(np.array_equal(g, r) for g, r in zip(split_like(net, grad), ref_grads))
@@ -771,19 +798,6 @@ class TestSweepStack:
         archs = [N.Architecture(2, 7, 1, (5,), (5,), (10,)), N.Architecture(2, 7, 2, (6,), (5,), (10,))]
         with pytest.raises(N.DimensionMismatch, match="differ only in k"):
             N.train_stack(tr, va, archs, quick_config(), [1, 2])
-
-    def test_one_model_stack_is_the_model_layout(self):
-        # A one-model stack's role arrays, model axis dropped, are the model's
-        # own layer views, in canonical order.
-        net = N.init(N.Architecture(2, 7, 2, (6, 4), (5,), (10,)), seed=3)
-        stack = net.stack
-        assert stack.flat is net.flat and np.all(stack.owner == 0)
-        (first_weights, first_bias), *rest = stack.joint
-        roles = [*stack.secret, *stack.iface, *stack.public, (first_weights[0], first_bias), *rest]
-        arrays = [a[0] for layer in roles for a in layer]
-        views = split_like(net, net.flat)
-        assert len(arrays) == len(views)
-        assert all(a.shape == v.shape and a.ctypes.data == v.ctypes.data for a, v in zip(arrays, views))
 
 
 # ---------------------------------------------------------------------------
