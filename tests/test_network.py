@@ -799,6 +799,19 @@ class TestSweepStack:
         with pytest.raises(N.DimensionMismatch, match="differ only in k"):
             N.train_stack(tr, va, archs, quick_config(), [1, 2])
 
+    def test_one_model_stack_is_the_model_layout(self):
+        # A one-model stack's role arrays, model axis dropped, are the model's
+        # own layer views, in canonical order.
+        net = N.init(N.Architecture(2, 7, 2, (6, 4), (5,), (10,)), seed=3)
+        stack = net.stack
+        assert stack.flat is net.flat and np.all(stack.owner == 0)
+        (first_weights, first_bias), *rest = stack.joint
+        roles = [*stack.secret, *stack.iface, *stack.public, (first_weights[0], first_bias), *rest]
+        arrays = [a[0] for layer in roles for a in layer]
+        views = split_like(net, net.flat)
+        assert len(arrays) == len(views)
+        assert all(a.shape == v.shape and a.ctypes.data == v.ctypes.data for a, v in zip(arrays, views))
+
 
 # ---------------------------------------------------------------------------
 # Workspaces: training reuses its evaluation arrays from pass to pass.
