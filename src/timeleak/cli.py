@@ -154,7 +154,6 @@ def _architecture(args, schema: dataset.FeatureSchema, k: int) -> network.Archit
 def cmd_gen(args) -> int:
     manifest = Manifest("gen", vars(args))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     ground_truth = None
     if args.family == "rn":
@@ -177,6 +176,7 @@ def cmd_gen(args) -> int:
     else:
         ds = dataset.gen_sort_demo(args.max_len, args.rows, args.seed)
 
+    out.parent.mkdir(parents=True, exist_ok=True)
     dataset.write_csv(ds, out)
     manifest.add_output(out)
     write_json(Path(str(out) + ".schema.json"), dataset.schema_to_json(ds.schema))
@@ -194,7 +194,6 @@ def cmd_sweep(args) -> int:
     manifest = Manifest("sweep", vars(args))
     manifest.add_input(args.data)
     out_dir = Path(args.out_dir)
-    (out_dir / "models").mkdir(parents=True, exist_ok=True)
 
     ds = _load_traces(args)
     arch = _architecture(args, ds.schema, k=0)
@@ -211,6 +210,7 @@ def cmd_sweep(args) -> int:
     manifest.stage_done("train_sweep")
 
     records = []
+    (out_dir / "models").mkdir(parents=True, exist_ok=True)
     for rec in result.records:
         rel = f"models/k{rec.k}.json"
         network.save(rec.model, out_dir / rel)
@@ -253,7 +253,6 @@ def cmd_train(args) -> int:
     manifest = Manifest("train", vars(args))
     manifest.add_input(args.data)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     ds = _load_traces(args)
     trainval, test = dataset.split(ds, args.test_fraction, args.seed)
@@ -262,6 +261,7 @@ def cmd_train(args) -> int:
     net, history = network.train(train_ds, valid_ds, arch, _train_config(args))
     manifest.stage_done("train")
 
+    out.parent.mkdir(parents=True, exist_ok=True)
     network.save(net, out)
     manifest.add_output(out)
     manifest.write(Path(str(out) + ".manifest.json"))
@@ -276,7 +276,6 @@ def cmd_analyze(args) -> int:
     manifest = Manifest("analyze", vars(args))
     manifest.add_input(args.model)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     net = network.load(args.model)
     try:
@@ -289,6 +288,7 @@ def cmd_analyze(args) -> int:
     census = counter.bnb_census(reducer, dom, cap=args.cap, budget=args.budget)
     manifest.stage_done("count")
 
+    out.parent.mkdir(parents=True, exist_ok=True)
     _write_artifact(out, census.to_json(), manifest)
     manifest.write(Path(str(out) + ".manifest.json"))
     outcomes = ", ".join(f"{name}={n}" for name, n in census.node_outcomes._asdict().items())
@@ -304,7 +304,6 @@ def cmd_report(args) -> int:
     manifest.add_input(args.census)
     manifest.add_input(args.sweep)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     census = counter.ClassCensus.from_json(read_json(args.census))
     result = sweep_mod.SweepResult.from_json(read_json(args.sweep))
@@ -313,6 +312,7 @@ def cmd_report(args) -> int:
     report = quantifier.build_report(census, sweep_summary=summary, model_ref=model_ref)
     manifest.stage_done("quantify")
 
+    out.parent.mkdir(parents=True, exist_ok=True)
     _write_artifact(out, report.to_json(), manifest)
     manifest.write(Path(str(out) + ".manifest.json"))
     print(report.summary())

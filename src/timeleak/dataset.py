@@ -144,19 +144,26 @@ class TraceDataset:
         x = np.asarray(x, dtype=np.float64).reshape(n_rows, schema.n_secret)
         y = np.asarray(y, dtype=np.float64).reshape(n_rows, schema.n_public)
         if validate:
-            columns = [*zip(schema.public_features, y.T), ("time", t)]
-            bad = _first_non_finite(col for _, col in columns)
-            if bad is not None:
-                (name, col), row = columns[bad[0]], bad[1]
+            # Each rule is checked on one scan of the arrays; the columns
+            # are scanned in order only to name the first cell that breaks one.
+            lo, hi, _ = _column_stats(y, t)  # the public columns, then time
+            if not _all_finite(lo, hi):
+                columns = [*zip(schema.public_features, y.T), ("time", t)]
+                j, row = _first_non_finite(col for _, col in columns)
+                name, col = columns[j]
                 raise NonFiniteValue(row, name, float(col[row]))
-            if np.any(t < 0):
+            if lo[-1] < 0:
                 raise DatasetError("negative execution time")
-            for j, (name, dom) in enumerate(schema.secret_features):
-                col = x[:, j]
-                bad = (col != np.floor(col)) | (col < dom.lo) | (col > dom.hi)
-                if np.any(bad):
-                    row = int(np.argmax(bad))
-                    raise SecretValueOutOfDomain(row, name, float(col[row]))
+            dom_lo = np.array([d.lo for _, d in schema.secret_features], dtype=np.float64)
+            dom_hi = np.array([d.hi for _, d in schema.secret_features], dtype=np.float64)
+            lo, hi, integral = _column_stats(x)
+            if not (integral.all() and (lo >= dom_lo).all() and (hi <= dom_hi).all()):
+                for j, (name, dom) in enumerate(schema.secret_features):
+                    col = x[:, j]
+                    bad = (col != np.floor(col)) | (col < dom.lo) | (col > dom.hi)
+                    if np.any(bad):
+                        row = int(np.argmax(bad))
+                        raise SecretValueOutOfDomain(row, name, float(col[row]))
         for arr in (x, y, t):
             arr.setflags(write=False)
         self.schema = schema
@@ -270,17 +277,15 @@ def load_csv(path, sidecar=None) -> TraceDataset:
     spans = [[i for i, _ in cols] for cols in (secret_cols, public_cols)]
     x, y = (parsed[:, i[0] : i[-1] + 1] if i and i == list(range(i[0], i[-1] + 1)) else parsed[:, i] for i in spans)
     t = parsed[:, -1]
-    # Each rule is checked once over the table; a column is scanned only to
-    # name the first cell that breaks one: secret columns here, before their
-    # domains are inferred, public and time columns in the dataset.
-    finite = bool(np.isfinite(parsed).all())
+    # Each rule is checked on the one scan of the table; a column is scanned
+    # only to name the first cell that breaks one: secret columns here, before
+    # their domains are inferred, public and time columns in the dataset.
+    lo, hi, integral = _column_stats(parsed)
+    finite = _all_finite(lo, hi)
     bad = None if finite else _first_non_finite(x.T)
     if bad is not None:
         c, r = secret_cols[bad[0]][0], bad[1]
         raise NonFiniteCell(r + 2, header[c], _cell_text(path, r + 2, c))
-    lo, hi = parsed.min(axis=0, initial=np.inf), parsed.max(axis=0, initial=-np.inf)
-    blocks = (x[r : r + WRITE_BLOCK] for r in range(0, n_rows, WRITE_BLOCK))
-    integral = all(np.array_equal(b, np.floor(b)) for b in blocks)
 
     schema_override = None
     if sidecar is not None:
@@ -296,7 +301,7 @@ def load_csv(path, sidecar=None) -> TraceDataset:
     secret_features = []
     for j, (c, name) in enumerate(secret_cols):
         col = x[:, j]
-        if not integral and np.any(col != np.floor(col)):
+        if not integral[c]:
             r = int(np.argmax(col != np.floor(col)))
             raise SecretValueOutOfDomain(r + 2, name, float(col[r]))
         if schema_override is not None:
@@ -322,8 +327,8 @@ def load_csv(path, sidecar=None) -> TraceDataset:
 
 def _first_non_finite(columns) -> tuple[int, int] | None:
     """(column, row) of the first non-finite value, scanning the columns in
-    order one at a time, so no table-sized mask is built. `load_csv` calls it
-    only to name the cell once its check of the whole table has failed."""
+    order one at a time, so no table-sized mask is built. It is called only
+    to name the cell once a check on `_column_stats` has failed."""
     for j, col in enumerate(columns):
         finite = np.isfinite(col)
         if not finite.all():
@@ -380,12 +385,49 @@ def _cell_text(path: Path, row: int, col: int) -> str:
         return next(itertools.islice(csv.reader(fh), row - 1, None))[col]
 
 
-# Rows per block, formatted together in write_csv and checked together for
-# integrality in load_csv: enough to amortize the per-column calls, few
-# enough that the temporaries and cell strings of one block stay small.
+# Rows per block, formatted together in write_csv and scanned together by
+# `_column_stats`: enough to amortize the per-column calls, few enough that
+# the temporaries and cell strings of one block stay small.
 WRITE_BLOCK = 4096
 # Most labels in one write_csv label table (see `_fields`).
 WRITE_TABLE = 2**17
+# Rows folded into one before each axis-0 reduction of `_column_stats`. An
+# axis-0 reduction of a C-order table runs inner loops one row long; folded,
+# they are FOLD rows long.
+FOLD = 64
+
+
+def _fold(ufunc: np.ufunc, block: np.ndarray, initial) -> np.ndarray:
+    """`ufunc` reduced over axis 0 of a contiguous block, FOLD rows at a time."""
+    n, width = block.shape
+    m = n - n % FOLD
+    folded = ufunc.reduce(block[:m].reshape(m // FOLD, FOLD * width), axis=0, initial=initial)
+    return ufunc.reduce(np.concatenate([folded.reshape(FOLD, width), block[m:]]), axis=0, initial=initial)
+
+
+def _column_stats(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column of the tables side by side, a 1-D array being one column:
+    the lowest value, the highest value, and whether every value is
+    integral. A NaN makes both bounds NaN and is not integral; a 0-row
+    column reads (inf, -inf, True). Each table is walked in WRITE_BLOCK-row
+    blocks, so no temporary is larger than a block."""
+    parts = []
+    for table in tables:
+        table = table if table.ndim == 2 else table[:, None]
+        lo, hi = np.full(table.shape[1], np.inf), np.full(table.shape[1], -np.inf)
+        integral = np.ones(table.shape[1], dtype=bool)
+        for start in range(0, table.shape[0], WRITE_BLOCK):
+            block = np.ascontiguousarray(table[start : start + WRITE_BLOCK], dtype=np.float64)
+            np.minimum(lo, _fold(np.minimum, block, np.inf), out=lo)
+            np.maximum(hi, _fold(np.maximum, block, -np.inf), out=hi)
+            integral &= _fold(np.logical_and, np.floor(block) == block, True)
+        parts.append((lo, hi, integral))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _all_finite(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether every value of the columns with these `_column_stats` bounds is finite."""
+    return bool(((lo > -np.inf) & (hi < np.inf)).all())
 
 
 def _fmt_cell(v: float) -> str:
@@ -418,22 +460,27 @@ def _label_field(run: list[tuple[np.ndarray, int, int]]):
     return field
 
 
-def _fields(columns: list[np.ndarray], n_rows: int) -> list:
-    """Per field of a row, in column order, a function from a block of rows to
-    its texts. A run of adjacent integral columns below 1e15 in magnitude is
-    one field while its label table holds at most min(n_rows, WRITE_TABLE)."""
+def _fields(tables: list[np.ndarray], n_rows: int) -> list:
+    """Per field of a row of the tables side by side (a 1-D array is one
+    column), in column order, a function from a block of rows to its texts.
+    A run of adjacent integral columns below 1e15 in magnitude is one field
+    while its label table holds at most min(n_rows, WRITE_TABLE). The first
+    non-finite value in row order raises, as `_fmt_cell` does."""
+    lo, hi, integral = _column_stats(*tables)
+    if not _all_finite(lo, hi):
+        cells = np.column_stack(tables).ravel()
+        _fmt_cell(float(cells[np.argmin(np.isfinite(cells))]))
+    columns = [col for table in tables for col in (table.T if table.ndim == 2 else [table])]
     fields, run, size, limit = [], [], 1, min(n_rows, WRITE_TABLE)
-    for col in [*columns, None]:
+    for j, col in enumerate([*columns, None]):
         n = 0
-        if col is not None and n_rows:
-            lo, hi = col.min(), col.max()
-            if max(-lo, hi) < 1e15 and np.array_equal(col, np.floor(col)):
-                n = int(hi) - int(lo) + 1
+        if col is not None and n_rows and integral[j] and max(-lo[j], hi[j]) < 1e15:
+            n = int(hi[j]) - int(lo[j]) + 1
         if run and not 0 < n * size <= limit:
             fields.append(_label_field(run))
             run, size = [], 1
         if 0 < n <= limit:
-            run.append((col, int(lo), n))
+            run.append((col, int(lo[j]), n))
             size *= n
         elif col is not None:
             fields.append(lambda rows, col=col: _fmt_floats(col[rows]))
@@ -453,10 +500,7 @@ def write_csv(ds: TraceDataset, path) -> None:
     for name in ds.schema.public_features:
         header.append(name if name.startswith("p_") else f"p_{name}")
     header.append("time")
-    if not all(np.isfinite(a).all() for a in (ds.x, ds.y, ds.t)):
-        cells = np.column_stack([ds.x, ds.y, ds.t]).ravel()
-        _fmt_cell(float(cells[np.argmin(np.isfinite(cells))]))  # the first NaN or infinity in row order raises
-    fields = _fields([*ds.x.T, *ds.y.T, ds.t], ds.n_rows)
+    fields = _fields([ds.x, ds.y, ds.t], ds.n_rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, ds.n_rows, WRITE_BLOCK):

@@ -14,6 +14,7 @@ from .dataset import TraceDataset, split
 from .jsonio import FieldError, get
 from .network import (
     Architecture,
+    DimensionMismatch,
     NonFiniteLoss,
     TrainConfig,
     TriBranchNetwork,
@@ -191,8 +192,8 @@ def sweep_k(
     for k in range(k_max + 1):
         try:
             archs.append(replace(arch_template, k=k))
-        except Exception as exc:
-            raise SweepError(f"training failed at k={k}: {exc}") from exc
+        except DimensionMismatch as exc:
+            raise SweepError(f"cannot build the network of width k={k}: {exc}") from exc
     trainval, test = split(ds, test_fraction, config.seed)
     train_ds, valid_ds = split(trainval, test_fraction, config.seed + 1)
 

@@ -292,6 +292,26 @@ class TestErrorPaths:
         assert f"interface width k must be >= 0 and <= {N.MAX_K}, got {k}\n" in err and err.count("\n") == 1
         assert not list(out.rglob("*.json"))
 
+    @pytest.mark.parametrize("command", ["sweep", "train", "gen", "analyze", "report"])
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys, command):
+        # Output directories are made just before the first write, so a run
+        # refused before it leaves nothing behind.
+        csv, bad, out = gen_r2(tmp_path, rows=60), tmp_path / "bad.json", tmp_path / "out"
+        bad.write_text("{broken")
+        args = {
+            "sweep": ["--data", str(csv), "--k-max", "63", "--seeds-per-k", "1", "--out-dir", str(out / "o"), *QUICK_TRAIN],
+            "train": ["--data", str(csv), "--k", "63", "--out", str(out / "m/x/model.json"), *QUICK_TRAIN],
+            "gen": ["--family", "rn", "--rows", "10", "--out", str(out / "g/x.csv")],
+            "analyze": ["--model", str(bad), "--out", str(out / "a/c.json")],
+            "report": ["--census", str(bad), "--sweep", str(bad), "--out", str(out / "r/report.json")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *args]) == {"sweep": 3, "train": 3, "gen": 2, "analyze": 4, "report": 5}[command]
+        err = capsys.readouterr().err
+        if command == "sweep":
+            assert err.startswith(f"error: cannot build the network of width k={N.MAX_K + 1}: interface width k")
+        assert not out.exists()
+
     def test_corrupt_model_analyze(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("{broken")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeleak import dataset as D
 
@@ -49,6 +51,10 @@ CELL_ERRORS = [
     # Every cell parses before any is checked for finiteness.
     pytest.param("0,nan,2.5\n1,x,3.5\n", D.NonNumericCell, 3, "p_0", "x", id="bad-cell-after-nan"),
 ]
+
+
+# Row counts around the column scan's fold (64 rows) and block (WRITE_BLOCK rows).
+SCAN_ROWS = (0, 1, 63, 64, 65, D.WRITE_BLOCK - 1, D.WRITE_BLOCK + 1)
 
 
 def write_exact(path, text):
@@ -214,14 +220,21 @@ class TestLoadCsv:
             "-3", "0.1", "1e-05", "2.5e-300", "-562949953421312",
         ]
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_write_matches_fmt_cell_seeded(self, tmp_path, monkeypatch, seed):
-        # Label tables of at most 16 labels, and 12 or 24 rows, so that the
-        # ranges below fall below, at and above both the table bound and the
-        # row count; binary runs are broken by float and wide columns.
+    @pytest.mark.parametrize(
+        "seed, n",
+        [*((seed, None) for seed in range(40)), *((40 + i, n) for i, n in enumerate(SCAN_ROWS))],
+        ids=[*map(str, range(40)), *(f"rows{n}" for n in SCAN_ROWS)],
+    )
+    def test_write_matches_fmt_cell_seeded(self, tmp_path, monkeypatch, seed, n):
+        # Label tables of at most 16 labels, and 12 or 24 rows in blocks of 5,
+        # so that the ranges below fall below, at and above both the table
+        # bound and the row count; binary runs are broken by float and wide
+        # columns. Given row counts keep WRITE_BLOCK, to cross the scan's
+        # fold and block boundaries.
         rng = np.random.default_rng(seed)
-        n = int(rng.choice([12, 24]))
-        monkeypatch.setattr(D, "WRITE_BLOCK", 5)
+        if n is None:
+            n = int(rng.choice([12, 24]))
+            monkeypatch.setattr(D, "WRITE_BLOCK", 5)
         monkeypatch.setattr(D, "WRITE_TABLE", 16)
         special = [0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 1e16, -1e16, 2.0**52, 0.5]
 
@@ -232,7 +245,7 @@ class TestLoadCsv:
             if kind == 1:  # an integral range of exactly `size` values
                 size, lo = int(rng.choice([2, 11, 12, 13, 15, 16, 17, 23, 24, 25])), int(rng.integers(-30, 5))
                 col = rng.integers(lo, lo + size, size=n).astype(np.float64)
-                col[rng.permutation(n)[:2]] = [lo, lo + size - 1]
+                col[rng.permutation(n)[:2]] = [lo, lo + size - 1][:n]
                 return col
             if kind == 2:  # floats with integral values among them
                 col = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 7)
@@ -395,6 +408,55 @@ class TestTraceDataset:
         with pytest.raises(D.NonFiniteValue) as info:
             D.TraceDataset(schema, np.zeros((3, 0)), y, [np.inf, 1.0, 1.0])
         assert (info.value.row, info.value.col) == (1, "p_0")
+
+    @pytest.mark.parametrize("column", ["s_1", "p_1"])
+    def test_first_bad_cell_past_the_first_block_in_a_later_column(self, column):
+        n, row = D.WRITE_BLOCK + 100, D.WRITE_BLOCK + 70
+        schema = D.FeatureSchema((("s_0", D.Binary()), ("s_1", D.IntRange(0, 9))), ("p_0", "p_1"), "ns")
+        x, y, t = np.zeros((n, 2)), np.ones((n, 2)), np.ones(n)
+        table, value, error = (x, 12.0, D.SecretValueOutOfDomain) if column == "s_1" else (y, np.nan, D.NonFiniteValue)
+        table[[row, row + 20], 1] = value
+        with pytest.raises(error) as info:
+            D.TraceDataset(schema, x, y, t)
+        assert (info.value.row, info.value.col) == (row, column)
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.5, -2.5, 1e15, -1e15, 1e15 + 0.5, 1e15 - 1, 2.0**53, 1e16]
+
+
+class TestColumnStats:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from(SCAN_ROWS),
+        width=st.integers(1, 16),
+        kind=st.sampled_from(["binary", "integers", "floats", "near-1e15"]),
+        cells=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 15), st.sampled_from(SPECIAL_VALUES)), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        view=st.booleans(),
+    )
+    def test_matches_per_column_reference(self, n, width, kind, cells, seed, view):
+        rng = np.random.default_rng(seed)
+        shape = (n, width + 2)
+        table = {
+            "binary": lambda: rng.integers(0, 2, size=shape).astype(np.float64),
+            "integers": lambda: rng.integers(-1000, 1000, size=shape).astype(np.float64),
+            "floats": lambda: rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 7),
+            "near-1e15": lambda: rng.choice([-1.0, 1.0], size=shape) * (1e15 + 0.5 * rng.integers(-8, 8, size=shape)),
+        }[kind]()
+        for r, c, value in cells if n else ():
+            table[r % n, 1 + c % width] = value
+        # A view of a wider table, as load_csv's x, or a table of its own.
+        table = table[:, 1:-1] if view else table[:, 1:-1].copy()
+
+        stats = lo, hi, integral = D._column_stats(table)
+        for j, col in enumerate(table.T):
+            assert np.array_equal(lo[j], col.min(initial=np.inf), equal_nan=True)
+            assert np.array_equal(hi[j], col.max(initial=-np.inf), equal_nan=True)
+            assert integral[j] == np.array_equal(col, np.floor(col))
+            assert D._all_finite(lo[j : j + 1], hi[j : j + 1]) == np.isfinite(col).all()
+        # Tables side by side, a 1-D array being one column, read as one table.
+        split = D._column_stats(table[:, 0], table[:, 1:])
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(split, stats))
 
 
 class TestSchema:
