@@ -247,23 +247,22 @@ class ClassCensus:
     k: int
     cap: int | None
     counts: tuple[int, ...]  # min(true count, cap) per valuation
-    cap_hits: tuple[bool, ...]
     complete: bool = True
     nodes: int = field(default=0, compare=False)
     node_outcomes: NodeOutcomes | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.counts) != 2**self.k or len(self.cap_hits) != 2**self.k:
+        if len(self.counts) != 2**self.k:
             raise CounterError("census must cover every interface valuation")
-        for v, (c, hit) in enumerate(zip(self.counts, self.cap_hits)):
-            if hit != (c == self.cap):
-                label = valuation_label(v, self.k)
-                raise CounterError(f"class {label} is{'' if hit else ' not'} cap_hit at count {c}, cap {self.cap}")
+
+    @property
+    def cap_hits(self) -> tuple[bool, ...]:
+        return tuple(c == self.cap for c in self.counts)
 
     def status(self, v: int) -> str:
         if self.counts[v] == 0:
             return "infeasible"
-        return "cap_hit" if self.cap_hits[v] else "counted"
+        return "cap_hit" if self.counts[v] == self.cap else "counted"
 
     @property
     def feasible_count(self) -> int:
@@ -314,7 +313,7 @@ class ClassCensus:
                     raise FieldError(f"{where}.valuation must be {valuation_label(v, k)!r}, got {entry['valuation']!r}")
                 counts.append(get(entry, "count", int, lo=0, hi=cap, where=where))
                 statuses.append(get(entry, "status", str, where=where))
-            census = cls(k, cap, tuple(counts), tuple(s == "cap_hit" for s in statuses), complete, nodes, outcomes)
+            census = cls(k, cap, tuple(counts), complete, nodes, outcomes)
             for v, status in enumerate(statuses):
                 if status != census.status(v):
                     raise FieldError(f"classes[{v}].status is {status!r} with count {counts[v]}")
@@ -332,15 +331,8 @@ def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> Cl
         k = max(1, math.ceil(math.log2(len(sizes))))
     if len(sizes) > 2**k:
         raise CounterError(f"{len(sizes)} classes do not fit in {k} bits")
-    counts = [0] * 2**k
-    hits = [False] * 2**k
-    for v, s in enumerate(sizes):
-        if cap is not None and s >= cap:
-            counts[v] = cap
-            hits[v] = True
-        else:
-            counts[v] = s
-    return ClassCensus(k=k, cap=cap, counts=tuple(counts), cap_hits=tuple(hits))
+    counts = [s if cap is None else min(s, cap) for s in sizes]
+    return ClassCensus(k=k, cap=cap, counts=tuple(counts + [0] * (2**k - len(counts))))
 
 
 def _offsets(shape: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -589,7 +581,6 @@ def bnb_census(
         k=k,
         cap=cap,
         counts=tuple(int(c) for c in counts),
-        cap_hits=tuple(capped.tolist()),
         complete=complete,
         nodes=nodes,
         node_outcomes=NodeOutcomes(*(int(n) for n in outcomes)),

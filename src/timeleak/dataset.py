@@ -144,26 +144,12 @@ class TraceDataset:
         x = np.asarray(x, dtype=np.float64).reshape(n_rows, schema.n_secret)
         y = np.asarray(y, dtype=np.float64).reshape(n_rows, schema.n_public)
         if validate:
-            # Each rule is checked on one scan of the arrays; the columns
-            # are scanned in order only to name the first cell that breaks one.
-            lo, hi, _ = _column_stats(y, t)  # the public columns, then time
-            if not _all_finite(lo, hi):
-                columns = [*zip(schema.public_features, y.T), ("time", t)]
-                j, row = _first_non_finite(col for _, col in columns)
-                name, col = columns[j]
-                raise NonFiniteValue(row, name, float(col[row]))
-            if lo[-1] < 0:
-                raise DatasetError("negative execution time")
-            dom_lo = np.array([d.lo for _, d in schema.secret_features], dtype=np.float64)
-            dom_hi = np.array([d.hi for _, d in schema.secret_features], dtype=np.float64)
-            lo, hi, integral = _column_stats(x)
-            if not (integral.all() and (lo >= dom_lo).all() and (hi <= dom_hi).all()):
-                for j, (name, dom) in enumerate(schema.secret_features):
-                    col = x[:, j]
-                    bad = (col != np.floor(col)) | (col < dom.lo) | (col > dom.hi)
-                    if np.any(bad):
-                        row = int(np.argmax(bad))
-                        raise SecretValueOutOfDomain(row, name, float(col[row]))
+            columns = [*x.T, *y.T, t]
+            broken = _broken_rule(columns, _column_stats(x, y, t), [d for _, d in schema.secret_features])
+            if broken is not None:
+                error, j, row = broken
+                names = [n for n, _ in schema.secret_features] + [*schema.public_features, "time"]
+                raise error(row, names[j], float(columns[j][row]))
         for arr in (x, y, t):
             arr.setflags(write=False)
         self.schema = schema
@@ -277,15 +263,6 @@ def load_csv(path, sidecar=None) -> TraceDataset:
     spans = [[i for i, _ in cols] for cols in (secret_cols, public_cols)]
     x, y = (parsed[:, i[0] : i[-1] + 1] if i and i == list(range(i[0], i[-1] + 1)) else parsed[:, i] for i in spans)
     t = parsed[:, -1]
-    # Each rule is checked on the one scan of the table; a column is scanned
-    # only to name the first cell that breaks one: secret columns here, before
-    # their domains are inferred, public and time columns in the dataset.
-    lo, hi, integral = _column_stats(parsed)
-    finite = _all_finite(lo, hi)
-    bad = None if finite else _first_non_finite(x.T)
-    if bad is not None:
-        c, r = secret_cols[bad[0]][0], bad[1]
-        raise NonFiniteCell(r + 2, header[c], _cell_text(path, r + 2, c))
 
     schema_override = None
     if sidecar is not None:
@@ -298,41 +275,59 @@ def load_csv(path, sidecar=None) -> TraceDataset:
         if declared != [n for _, n in secret_cols]:
             raise DatasetError(f"sidecar secret features {declared} do not match columns")
 
+    # The one scan of the table, its columns taken in x, y, t order.
+    order = [c for c, _ in secret_cols + public_cols] + [len(header) - 1]
+    lo, hi, integral = (stat[order] for stat in _column_stats(parsed))
+    domains = [d for _, d in schema_override.secret_features] if schema_override else [None] * len(secret_cols)
+    broken = _broken_rule([parsed[:, c] for c in order], (lo, hi, integral), domains)
+    if broken is not None:
+        error, j, r = broken
+        c = order[j]
+        if error is NonFiniteValue:
+            raise NonFiniteCell(r + 2, header[c], _cell_text(path, r + 2, c))
+        raise error(r + 2, header[c], float(parsed[r, c]))
+
     secret_features = []
-    for j, (c, name) in enumerate(secret_cols):
-        col = x[:, j]
-        if not integral[c]:
-            r = int(np.argmax(col != np.floor(col)))
-            raise SecretValueOutOfDomain(r + 2, name, float(col[r]))
+    for j, (_, name) in enumerate(secret_cols):
         if schema_override is not None:
             dom = schema_override.secret_features[j][1]
-            if lo[c] < dom.lo or hi[c] > dom.hi:
-                r = int(np.argmax((col < dom.lo) | (col > dom.hi)))
-                raise SecretValueOutOfDomain(r + 2, name, float(col[r]))
-        elif n_rows and lo[c] >= 0 and hi[c] <= 1:
+        elif n_rows and lo[j] >= 0 and hi[j] <= 1:
             dom = Binary()
         else:
-            dom = IntRange(int(lo[c]) if n_rows else 0, int(hi[c]) if n_rows else 1)
+            dom = IntRange(int(lo[j]) if n_rows else 0, int(hi[j]) if n_rows else 1)
         secret_features.append((name, dom))
 
     time_unit = schema_override.time_unit if schema_override else "seconds"
     schema = FeatureSchema(tuple(secret_features), tuple(n for _, n in public_cols), time_unit)
-    try:
-        return TraceDataset(schema, x, y, t, validate=not finite or lo[-1] < 0)
-    except NonFiniteValue as exc:
-        # Public names are distinct and carry a p_ prefix, so this is the cell.
-        c, r = header.index(exc.col), exc.row
-        raise NonFiniteCell(r + 2, exc.col, _cell_text(path, r + 2, c)) from None
+    return TraceDataset(schema, x, y, t, validate=False)
 
 
-def _first_non_finite(columns) -> tuple[int, int] | None:
-    """(column, row) of the first non-finite value, scanning the columns in
-    order one at a time, so no table-sized mask is built. It is called only
-    to name the cell once a check on `_column_stats` has failed."""
-    for j, col in enumerate(columns):
-        finite = np.isfinite(col)
-        if not finite.all():
-            return j, int(np.argmin(finite))
+def _broken_rule(columns: list[np.ndarray], stats, domains: list[Domain | None]) -> tuple[type, int, int] | None:
+    """The first trace rule that `columns`, the secret, public and time
+    columns in that order, break, as (error, column, row of its first bad
+    cell); None when they keep every rule. `stats` are the columns'
+    `_column_stats`, and `domains` give the secret columns' domains, None
+    for a domain still to be inferred, which needs only integral values.
+    The rules, in the order they are checked:
+    1. every value is finite (`NonFiniteValue`);
+    2. no time is negative, which names no cell and so is raised here;
+    3. every secret is an integer inside its domain (`SecretValueOutOfDomain`).
+    Only the first column that breaks a rule is scanned, to find its row."""
+    lo, hi, integral = stats
+    finite = (lo > -np.inf) & (hi < np.inf)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        return NonFiniteValue, j, int(np.argmin(np.isfinite(columns[j])))
+    if lo[-1] < 0:
+        raise DatasetError("negative execution time")
+    n = len(domains)
+    bounds = [(-np.inf, np.inf) if d is None else (d.lo, d.hi) for d in domains]
+    dom_lo, dom_hi = np.array(bounds, dtype=np.float64).reshape(n, 2).T
+    inside = integral[:n] & (lo[:n] >= dom_lo) & (hi[:n] <= dom_hi)
+    if not inside.all():
+        j = int(np.argmin(inside))
+        col = columns[j]
+        return SecretValueOutOfDomain, j, int(np.argmax((col != np.floor(col)) | (col < dom_lo[j]) | (col > dom_hi[j])))
     return None
 
 

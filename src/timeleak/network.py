@@ -95,10 +95,6 @@ class Architecture:
     def public_out_dim(self) -> int:
         return self.public_widths[-1] if self.public_widths else self.n_public
 
-    @property
-    def joint_in_dim(self) -> int:
-        return self.k + self.public_out_dim
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -59,7 +59,6 @@ class SweepResult:
     records: tuple[KRecord, ...]
     k_star: int
     tau: float
-    verdict: Verdict
 
     def __post_init__(self):
         ks = [r.k for r in self.records]
@@ -67,8 +66,10 @@ class SweepResult:
             raise SweepError("records must cover a contiguous k range starting at 0")
         if not 0 <= self.k_star < len(ks):
             raise SweepError("k_star outside the swept range")
-        if self.verdict.leak != (self.k_star >= 1):
-            raise SweepError("verdict must say leak exactly when k_star >= 1")
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict(leak=self.k_star >= 1, k_star=self.k_star)
 
     def record(self, k: int) -> KRecord:
         return self.records[k]
@@ -104,8 +105,7 @@ class SweepResult:
         except FieldError as exc:
             raise SweepError(f"sweep {exc}") from None
         _check_tau(tau)
-        verdict = Verdict(leak=k_star >= 1, k_star=k_star)
-        return cls(records=records, k_star=k_star, tau=tau, verdict=verdict)
+        return cls(records=records, k_star=k_star, tau=tau)
 
 
 def _record_from_json(records: list, i: int) -> KRecord:
@@ -222,5 +222,4 @@ def sweep_k(
         )
 
     k_star = select_k([r.test_sse for r in records], tau)
-    verdict = Verdict(leak=k_star >= 1, k_star=k_star)
-    return SweepResult(records=tuple(records), k_star=k_star, tau=tau, verdict=verdict)
+    return SweepResult(records=tuple(records), k_star=k_star, tau=tau)

@@ -655,15 +655,6 @@ class TestCensusJson:
         with pytest.raises(C.CounterError):
             C.ClassCensus.from_json(obj)
 
-    @pytest.mark.parametrize(
-        "cap, counts, cap_hits",
-        [(5, (5, 2), (False, False)), (5, (4, 2), (True, False)), (None, (5, 2), (True, False))],
-        ids=["at-cap-not-hit", "hit-below-cap", "hit-without-cap"],
-    )
-    def test_cap_hit_exactly_at_the_cap(self, cap, counts, cap_hits):
-        with pytest.raises(C.CounterError, match="class 0 "):
-            C.ClassCensus(k=1, cap=cap, counts=counts, cap_hits=cap_hits)
-
     def test_from_sizes_with_cap(self):
         census = C.census_from_sizes([68, 16, 27, 1, 16], cap=100, k=3)
         assert census.feasible_count == 5

@@ -421,6 +421,124 @@ class TestTraceDataset:
         assert (info.value.row, info.value.col) == (row, column)
 
 
+def trace_file(path, schema, x, y, t, layout) -> tuple:
+    """Write arrays as trace CSV text by hand (`write_csv` refuses non-finite
+    values), with a sidecar declaring the schema's domains; `layout` is the
+    header's "s"/"p" sequence, each side keeping its own column order.
+    Returns the arguments of `load_csv`."""
+    columns = {"s": iter(x.T), "p": iter(y.T)}
+    names = {"s": iter(n for n, _ in schema.secret_features), "p": iter(schema.public_features)}
+    header = [next(names[side]) for side in layout] + ["time"]
+    table = np.column_stack([next(columns[side]) for side in layout] + [t])
+    path.write_text("\n".join([",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]) + "\n")
+    sidecar = path.with_suffix(".schema.json")
+    sidecar.write_text(json.dumps(D.schema_to_json(schema)))
+    return path, sidecar
+
+
+def raised(load) -> tuple:
+    """(error class, column, row, message) of what `load()` raises, or None."""
+    try:
+        load()
+    except D.DatasetError as exc:
+        return type(exc), getattr(exc, "col", None), getattr(exc, "row", None), str(exc)
+    return None
+
+
+# The one rule order: (file error, array error) per rule, in the order the rules are checked.
+RULES = [(D.NonFiniteCell, D.NonFiniteValue), (D.DatasetError, D.DatasetError), (D.SecretValueOutOfDomain,) * 2]
+
+
+class TestFilesAndArraysAgree:
+    """`load_csv` of a trace file and `TraceDataset` of the same arrays name
+    the same rule, column and row (a file's row is the array row + 2)."""
+
+    def check(self, tmp_path, schema, x, y, t, layout, rule):
+        """Assert that the file and the arrays break `rule`, an index into
+        RULES or None for none, at the same cell; return (column, array row)."""
+        args = trace_file(tmp_path / "t.csv", schema, x, y, t, layout)
+        if rule is None:
+            assert D.load_csv(*args) == D.TraceDataset(schema, x, y, t)
+            return None
+        file, array = raised(lambda: D.load_csv(*args)), raised(lambda: D.TraceDataset(schema, x, y, t))
+        assert file is not None and array is not None
+        assert (file[0], array[0]) == RULES[rule] and file[1] == array[1]
+        if array[2] is None:
+            assert file[2] is None and file[3] == array[3] == "negative execution time"
+        else:
+            assert file[2] == array[2] + 2
+        return array[1], array[2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        domains=st.lists(st.sampled_from([D.Binary(), D.IntRange(-2, 3), D.IntRange(4, 5)]), max_size=3),
+        n_public=st.integers(0, 2),
+        faults=st.lists(
+            st.tuples(
+                st.sampled_from(["non-finite", "negative-time", "non-integral", "outside-domain"]),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+            ),
+            max_size=3,
+        ),
+        order=st.randoms(use_true_random=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_rule_same_cell(self, tmp_path_factory, n, domains, n_public, faults, order, seed):
+        rng = np.random.default_rng(seed)
+        secret = tuple((f"s_{j}", d) for j, d in enumerate(domains))
+        schema = D.FeatureSchema(secret, tuple(f"p_{j}" for j in range(n_public)))
+        x = np.column_stack([rng.integers(d.lo, d.hi + 1, size=n) for d in domains] or [np.zeros((n, 0))]) * 1.0
+        y = rng.integers(-3, 4, size=(n, n_public)) * rng.choice([1.0, 0.25], size=(n, n_public))
+        t = rng.integers(0, 8, size=n) * 0.5
+        columns = [*x.T, *y.T, t]  # views of the arrays, in the rule order's column order
+        for kind, row, col, value in faults:
+            row, col = row % n, col % len(columns)
+            if kind == "non-finite":
+                columns[col][row] = value
+            elif kind == "negative-time":
+                t[row] = -0.5
+            elif domains and kind == "non-integral":
+                x[row, col % len(domains)] += 0.5
+            elif domains:
+                x[row, col % len(domains)] = domains[col % len(domains)].hi + 1
+        # The first rule the arrays break, checked here the long way.
+        finite = [np.isfinite(c).all() for c in columns]
+        inside = [((c == np.floor(c)) & (c >= d.lo) & (c <= d.hi)).all() for c, d in zip(x.T, domains)]
+        rule = next((r for r, ok in enumerate([all(finite), (t >= 0).all(), all(inside)]) if not ok), None)
+        layout = ["s"] * len(domains) + ["p"] * n_public
+        order.shuffle(layout)
+        self.check(tmp_path_factory.mktemp("agree"), schema, x, y, t, layout, rule)
+
+    SCHEMA = D.FeatureSchema((("s_0", D.Binary()), ("s_1", D.IntRange(0, 3))), ("p_0",))
+
+    def arrays(self):
+        return np.array([[0.0, 1], [1, 2], [0, 3], [1, 0]]), np.ones((4, 1)), np.ones(4)
+
+    def test_non_finite_beats_negative_time(self, tmp_path):
+        x, y, t = self.arrays()
+        t[0], y[2, 0] = -1.0, np.nan
+        assert self.check(tmp_path, self.SCHEMA, x, y, t, "ssp", 0) == ("p_0", 2)
+
+    def test_negative_time_beats_a_secret_outside_its_domain(self, tmp_path):
+        x, y, t = self.arrays()
+        x[0, 1], t[3] = 9.0, -1.0
+        assert self.check(tmp_path, self.SCHEMA, x, y, t, "sps", 1) == (None, None)
+
+    def test_non_finite_secret_beats_non_finite_time(self, tmp_path):
+        x, y, t = self.arrays()
+        t[0], x[3, 1] = np.inf, -np.inf
+        assert self.check(tmp_path, self.SCHEMA, x, y, t, "pss", 0) == ("s_1", 3)
+
+    def test_first_bad_row_of_a_secret_column_whatever_its_fault(self, tmp_path):
+        # File row 2 is outside the domain, file row 4 is not an integer.
+        x, y, t = self.arrays()
+        x[0, 1], x[2, 1] = 7.0, 2.5
+        assert self.check(tmp_path, self.SCHEMA, x, y, t, "sps", 2) == ("s_1", 0)
+
+
 SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.5, -2.5, 1e15, -1e15, 1e15 + 0.5, 1e15 - 1, 2.0**53, 1e16]
 
 

@@ -30,12 +30,12 @@ class TestInitialEntropy:
         assert Q.initial_entropy(C.census_from_sizes([1])) == 0.0
 
     def test_empty_census_rejected(self):
-        census = C.ClassCensus(k=1, cap=None, counts=(0, 0), cap_hits=(False, False))
+        census = C.ClassCensus(k=1, cap=None, counts=(0, 0))
         with pytest.raises(Q.EmptyCensus):
             Q.initial_entropy(census)
 
     def test_incomplete_census_rejected(self):
-        census = C.ClassCensus(k=1, cap=None, counts=(1, 0), cap_hits=(False, False), complete=False)
+        census = C.ClassCensus(k=1, cap=None, counts=(1, 0), complete=False)
         with pytest.raises(C.IncompleteCensus):
             Q.initial_entropy(census)
 

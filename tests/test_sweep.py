@@ -26,7 +26,6 @@ def make_result(sses, k_star=None, tau=0.05, residuals=None):
         records=tuple(record(k, s, r) for k, (s, r) in enumerate(zip(sses, residuals))),
         k_star=k_star,
         tau=tau,
-        verdict=S.Verdict(leak=k_star >= 1, k_star=k_star),
     )
 
 
@@ -90,16 +89,7 @@ class TestSweepResultInvariants:
     def test_records_must_start_at_zero(self):
         with pytest.raises(S.SweepError):
             S.SweepResult(
-                records=(record(1, 5.0),), k_star=1, tau=0.05, verdict=S.Verdict(True, 1)
-            )
-
-    def test_verdict_must_match_k_star(self):
-        with pytest.raises(S.SweepError):
-            S.SweepResult(
-                records=(record(0, 5.0), record(1, 1.0)),
-                k_star=1,
-                tau=0.05,
-                verdict=S.Verdict(leak=False, k_star=1),
+                records=(record(1, 5.0),), k_star=1, tau=0.05
             )
 
     def test_json_round_trip(self):
