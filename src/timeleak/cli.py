@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__, counter, dataset, network, quantifier, sweep as sweep_mod
 from .jsonio import FieldError, canonical_dumps, get, hash_file, read_json, sha256_hex, write_json
-from .svgplot import line_plot
+from .svgplot import sse_plot
 
 _EXIT_CODES = {"gen": 2, "sweep": 3, "train": 3, "analyze": 4, "report": 5}
 
@@ -227,14 +227,7 @@ def cmd_sweep(args) -> int:
             payload["note"] = verdict.note
     _write_artifact(out_dir / "sweep.json", payload, manifest)
 
-    svg = line_plot(
-        [r.k for r in result.records],
-        [r.test_sse for r in result.records],
-        x_label="interface bits k",
-        y_label="test SSE",
-        title="SSE vs interface width",
-        marker_x=result.k_star,
-    )
+    svg = sse_plot([r.k for r in result.records], [r.test_sse for r in result.records], result.k_star)
     (out_dir / "sse_vs_k.svg").write_text(svg, encoding="utf-8")
     manifest.add_output(out_dir / "sse_vs_k.svg")
     manifest.stage_done("artifacts")
@@ -278,12 +271,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
 
     net = network.load(args.model)
-    try:
-        reducer = counter.extract_reducer(net)
-    except counter.ZeroInterfaceWidth:
-        raise counter.ZeroInterfaceWidth(
-            "k=0 model has no reducer - nothing leaks through it"
-        ) from None
+    reducer = counter.extract_reducer(net)
     dom = counter.SecretDomain.from_schema(net.schema)
     census = counter.bnb_census(reducer, dom, cap=args.cap, budget=args.budget)
     manifest.stage_done("count")

@@ -66,6 +66,9 @@ PRUNE_MASK_CELLS = 2**18
 # Class counts are summed in float64, exact below this.
 EXACT_COUNT_LIMIT = 2**53
 
+# Random in-domain points on which an extracted reducer must match its network.
+SELF_CHECK_POINTS = 1000
+
 
 class CounterError(Exception):
     pass
@@ -200,11 +203,11 @@ def valuation_label(v: int, k: int) -> str:
     return format(v, f"0{k}b")
 
 
-def extract_reducer(net: TriBranchNetwork, self_check_points: int = 1000) -> ReducerNet:
+def extract_reducer(net: TriBranchNetwork) -> ReducerNet:
     """Pull the secret branch out of a trained model and verify it agrees with
     the parent network's interface bits on random in-domain points."""
     if net.k == 0:
-        raise ZeroInterfaceWidth("a k=0 model has no secret interface to extract")
+        raise ZeroInterfaceWidth("k=0 model has no reducer - nothing leaks through it")
     if net.schema is None or net.normalizer is None:
         raise CounterError("model lacks schema/normalizer metadata")
     reducer = ReducerNet(
@@ -215,14 +218,13 @@ def extract_reducer(net: TriBranchNetwork, self_check_points: int = 1000) -> Red
         iface_b=net.iface[1].copy(),
         domains=tuple(dom for _, dom in net.schema.secret_features),
     )
-    if self_check_points > 0:
-        rng = np.random.default_rng(0)
-        cols = [rng.integers(d.lo, d.hi + 1, size=self_check_points) for d in reducer.domains]
-        x = np.stack(cols, axis=1).astype(np.float64)
-        no_public = np.zeros((self_check_points, net.arch.n_public))
-        parent = predict_batch(net, net.normalizer.map_secrets(x), no_public)[1]
-        if not np.array_equal(parent, reducer.bits(x)):
-            raise ExtractionMismatch("extracted reducer disagrees with the parent network")
+    rng = np.random.default_rng(0)
+    cols = [rng.integers(d.lo, d.hi + 1, size=SELF_CHECK_POINTS) for d in reducer.domains]
+    x = np.stack(cols, axis=1).astype(np.float64)
+    no_public = np.zeros((SELF_CHECK_POINTS, net.arch.n_public))
+    parent = predict_batch(net, net.normalizer.map_secrets(x), no_public)[1]
+    if not np.array_equal(parent, reducer.bits(x)):
+        raise ExtractionMismatch("extracted reducer disagrees with the parent network")
     return reducer
 
 

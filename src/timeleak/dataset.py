@@ -91,9 +91,15 @@ class Binary:
         return 2
 
 
+# Every integer within ±MAX_SAFE_INT is exact in float64, so a trace cell
+# outside a domain within these bounds parses to a float outside it.
+MAX_SAFE_INT = 2**53 - 1
+
+
 @dataclass(frozen=True)
 class IntRange:
-    """Unit-step integer domain [lo, hi]; constant domains are rejected."""
+    """Unit-step integer domain [lo, hi] within ±(2^53 − 1); constant domains
+    are rejected."""
 
     lo: int
     hi: int
@@ -101,6 +107,8 @@ class IntRange:
     def __post_init__(self):
         if self.lo > self.hi:
             raise DatasetError(f"IntRange lo {self.lo} > hi {self.hi}")
+        if self.lo < -MAX_SAFE_INT or self.hi > MAX_SAFE_INT:
+            raise DatasetError(f"IntRange [{self.lo}, {self.hi}] is not within ±(2^53 − 1)")
         if self.size < 2:
             raise DatasetError(f"constant feature domain [{self.lo}, {self.hi}] rejected")
 
@@ -139,10 +147,11 @@ class TraceDataset:
     """Immutable array-backed collection of timing-trace rows."""
 
     def __init__(self, schema: FeatureSchema, x, y, t, *, validate: bool = True):
-        t = np.asarray(t, dtype=np.float64).reshape(-1)
-        n_rows = t.shape[0]
-        x = np.asarray(x, dtype=np.float64).reshape(n_rows, schema.n_secret)
-        y = np.asarray(y, dtype=np.float64).reshape(n_rows, schema.n_public)
+        x, y, t = (np.asarray(a, dtype=np.float64) for a in (x, y, t))
+        n = t.shape[0] if t.ndim else 0
+        for name, arr, shape in (("t", t, (n,)), ("x", x, (n, schema.n_secret)), ("y", y, (n, schema.n_public))):
+            if arr.shape != shape:
+                raise DatasetError(f"{name} must have shape {shape}, got {arr.shape}")
         if validate:
             columns = [*x.T, *y.T, t]
             broken = _broken_rule(columns, _column_stats(x, y, t), [d for _, d in schema.secret_features])
@@ -186,9 +195,6 @@ def _domain_to_json(dom: Domain):
     return {"int": [dom.lo, dom.hi]}
 
 
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
-
-
 def schema_to_json(schema: FeatureSchema) -> dict:
     return {
         "secret": [{"name": n, "domain": _domain_to_json(d)} for n, d in schema.secret_features],
@@ -205,12 +211,12 @@ def _secret_feature_from_json(secret: list, i: int) -> tuple[str, Domain]:
         return name, Binary()
     bounds = get(dom, "int", where=f"{where}.domain")
     try:
-        lo, hi = (get(bounds, j, int, lo=INT64_MIN, hi=INT64_MAX) for j in (0, 1))
+        lo, hi = (get(bounds, j, int) for j in (0, 1))
         if len(bounds) == 2:
             return name, IntRange(lo, hi)
     except (FieldError, DatasetError):
         pass
-    must = "[lo, hi], two integers within int64 with lo < hi"
+    must = "[lo, hi], two integers within ±(2^53 − 1) with lo < hi"
     raise FieldError(f"secret feature {name!r}: int domain must be {must}, got {bounds!r:.60}")
 
 
@@ -294,7 +300,10 @@ def load_csv(path, sidecar=None) -> TraceDataset:
         elif n_rows and lo[j] >= 0 and hi[j] <= 1:
             dom = Binary()
         else:
-            dom = IntRange(int(lo[j]) if n_rows else 0, int(hi[j]) if n_rows else 1)
+            try:
+                dom = IntRange(int(lo[j]) if n_rows else 0, int(hi[j]) if n_rows else 1)
+            except DatasetError as exc:
+                raise DatasetError(f"{path}: column {name!r}: {exc}") from None
         secret_features.append((name, dom))
 
     time_unit = schema_override.time_unit if schema_override else "seconds"
@@ -688,10 +697,8 @@ def rn_ground_truth(n_secret_bits: int, clauses: Sequence[Clause]) -> list[int]:
 
 @dataclass(frozen=True)
 class RnPreset:
-    name: str
     n_secret_bits: int
     clauses: tuple[Clause, ...]
-    n_public_bits: int = 7
 
     def ground_truth_sizes(self) -> list[int]:
         return rn_ground_truth(self.n_secret_bits, self.clauses)
@@ -701,14 +708,17 @@ def _b(x: np.ndarray, j: int) -> np.ndarray:
     return x[:, j] == 1
 
 
+# Public bits of every preset's traces; the loop bound is their binary value.
+RN_PRESET_PUBLIC_BITS = 7
+
+
 # Preset clause sets; the comment gives the class partition they induce and the
 # resulting conditional entropy of a uniform secret given the timing class.
 RN_PRESETS: dict[str, RnPreset] = {
     # {3, 1} -> 1.19 bits
-    "R_2": RnPreset("R_2", 2, (Clause(lambda x: _b(x, 0) & _b(x, 1), 1.0),)),
+    "R_2": RnPreset(2, (Clause(lambda x: _b(x, 0) & _b(x, 1), 1.0),)),
     # {3, 3, 2} -> 1.44 bits
     "R_3": RnPreset(
-        "R_3",
         3,
         (
             Clause(lambda x: ~_b(x, 1) & (_b(x, 0) | _b(x, 2)), 1.0),
@@ -717,7 +727,6 @@ RN_PRESETS: dict[str, RnPreset] = {
     ),
     # {6, 5, 5} -> 2.42 bits
     "R_4": RnPreset(
-        "R_4",
         4,
         (
             Clause(lambda x: _b(x, 0) & (_b(x, 1) | (_b(x, 2) & _b(x, 3))), 1.0),
@@ -726,7 +735,6 @@ RN_PRESETS: dict[str, RnPreset] = {
     ),
     # {11, 11, 10} -> 3.42 bits
     "R_5": RnPreset(
-        "R_5",
         5,
         (
             Clause(lambda x: _b(x, 0) & (_b(x, 1) | (_b(x, 2) & (_b(x, 3) | _b(x, 4)))), 1.0),
@@ -735,7 +743,6 @@ RN_PRESETS: dict[str, RnPreset] = {
     ),
     # {16, 16, 16, 16} -> 4.00 bits
     "R_6": RnPreset(
-        "R_6",
         6,
         (
             Clause(lambda x: _b(x, 0) & ~_b(x, 1), 1.0),
@@ -745,7 +752,6 @@ RN_PRESETS: dict[str, RnPreset] = {
     ),
     # {32, 32, 32, 32} -> 5.00 bits
     "R_7": RnPreset(
-        "R_7",
         7,
         (
             Clause(lambda x: _b(x, 0) & ~_b(x, 1), 1.0),
@@ -765,7 +771,7 @@ def rn_preset(name: str) -> RnPreset:
 
 def gen_rn_preset(name: str, rows: int, noise_std: float = 0.02, seed: int = 0) -> TraceDataset:
     p = rn_preset(name)
-    return gen_rn(p.n_secret_bits, p.clauses, p.n_public_bits, rows, noise_std, seed)
+    return gen_rn(p.n_secret_bits, p.clauses, RN_PRESET_PUBLIC_BITS, rows, noise_std, seed)
 
 
 # ---------------------------------------------------------------------------

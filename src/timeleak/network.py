@@ -41,6 +41,9 @@ MODEL_VERSION = 1
 # A valuation of the k interface bits is an int64 in the counter.
 MAX_K = 62
 
+# Adam's published defaults (Kingma & Ba, 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class NetworkError(Exception):
     pass
@@ -51,7 +54,7 @@ class DimensionMismatch(NetworkError):
 
 
 class NonFiniteLoss(NetworkError):
-    def __init__(self, message: str, epoch: int | None = None, seed: int | None = None, k: int | None = None):
+    def __init__(self, message: str, epoch: int, seed: int, k: int):
         super().__init__(message)
         self.epoch = epoch
         self.seed = seed
@@ -102,9 +105,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 2000
     patience: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     seed: int = 0
     ste_clip: float = 1.0
 
@@ -542,7 +542,7 @@ def adam_step(
     the moments in `state` (a stack's models always share the step count)."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state.m, state.v
     m *= b1
     m += (1 - b1) * grads
@@ -550,7 +550,7 @@ def adam_step(
     v += (1 - b2) * grads**2
     m_hat = m / (1 - b1**t)
     v_hat = v / (1 - b2**t)
-    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps_adam)
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 

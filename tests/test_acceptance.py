@@ -127,7 +127,7 @@ def test_criterion_2_counting_oracle_equivalence():
             depth = int(rng.integers(1, 3))
             hidden = tuple(int(rng.integers(2, 17)) for _ in range(depth))
             net = random_reducer_net(rng, n_secret=n, k=k, hidden=hidden)
-            reducer = C.extract_reducer(net, self_check_points=100)
+            reducer = C.extract_reducer(net)
             dom = C.SecretDomain(los=(0,) * n, his=(1,) * n)
             for cap in (1, 5, dom.size):
                 bnb = C.bnb_census(reducer, dom, cap=cap)

@@ -312,6 +312,86 @@ class TestErrorPaths:
             assert err.startswith(f"error: cannot build the network of width k={N.MAX_K + 1}: interface width k")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "trace, flags, message",
+        [
+            ("", [], "{data}: empty file"),
+            ("s_0,x_0,time\n0,1,1.0\n1,2,2.0\n", [], "{data}: column 'x_0' lacks an s_/p_ prefix"),
+            ("s_0,p_0,time\n0,1,1.0\n1,2,2.0\n", [], "sidecar secret features ['s_9'] do not match columns"),
+            ("r2", ["--lr", "0"], "learning_rate must be positive"),
+            ("r2", ["--patience", "0"], "patience must be >= 1"),
+            ("r2", ["--ste-clip", "0"], "ste_clip must be positive"),
+            ("r2", ["--batch-size", "0"], "batch_size and max_epochs must be >= 1"),
+            ("r2", ["--max-epochs", "0"], "batch_size and max_epochs must be >= 1"),
+            ("r2", ["--seed", "-1"], "seed must be non-negative"),
+            ("sort", [], "cannot build the network of width k=1: a k >= 1 interface needs secret features"),
+        ],
+        ids=["empty-file", "unprefixed-column", "sidecar-names", "lr-0", "patience-0", "ste-clip-0", "batch-size-0",
+             "max-epochs-0", "negative-seed", "no-secret-features"],
+    )
+    def test_refused_sweep_exits_3(self, tmp_path, capsys, trace, flags, message):
+        data, out = tmp_path / "traces.csv", tmp_path / "out"
+        if trace == "r2":
+            gen_r2(tmp_path, rows=60)
+        elif trace == "sort":
+            assert main(["gen", "--family", "sort", "--rows", "40", "--max-len", "200", "--out", str(data)]) == 0
+        else:
+            data.write_text(trace)
+        if "sidecar" in message:
+            sidecar = {"secret": [{"name": "s_9", "domain": "binary"}], "public": ["p_0"]}
+            (tmp_path / "traces.csv.schema.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        args = ["--data", str(data), "--k-max", "1", "--seeds-per-k", "1", "--out-dir", str(out), *QUICK_TRAIN, *flags]
+        assert main(["sweep", *args]) == 3
+        assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "bl", "--public-lo", "0"], "public range must start at 1 or above (log of the input)"),
+            (["--family", "rn", "--preset", "R_9"], "unknown preset 'R_9'; choose from ['R_2', 'R_3', 'R_4', 'R_5', 'R_6', 'R_7']"),
+            (["--family", "sort", "--max-len", "50"], "max_len must be at least 100"),
+            (["--family", "bl", "--i", "0"], "need at least one variant per complexity"),
+            (["--family", "rn"], "--preset is required for the rn family"),
+        ],
+        ids=["bl-public-lo-0", "unknown-preset", "sort-max-len-50", "bl-i-0", "rn-without-preset"],
+    )
+    def test_refused_gen_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["gen", *flags, "--rows", "10", "--out", str(out / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.update(format="timeleak-census"), "not a timeleak model file"),
+            (lambda m: m["weights"]["joint"].pop(), "model weights hold 4 layers, the architecture has 5"),
+            (lambda m: m["schema"]["secret"].pop(), "model schema features do not match architecture.n_secret / n_public"),
+            (lambda m: m.update(schema=None), "model lacks schema/normalizer metadata"),
+        ],
+        ids=["not-a-model", "joint-layer-missing", "schema-feature-missing", "no-schema"],
+    )
+    def test_refused_model_analyze_exits_4(self, artifacts, tmp_path, capsys, edit, message):
+        _, sweep_dir, _, _ = artifacts
+        model = json.loads((sweep_dir / "models/k1.json").read_text())
+        edit(model)
+        bad, out = tmp_path / "bad_model.json", tmp_path / "out"
+        bad.write_text(json.dumps(model))
+        assert main(["analyze", "--model", str(bad), "--out", str(out / "c.json")]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_not_a_census_report_exits_5(self, artifacts, tmp_path, capsys):
+        _, sweep_dir, census_path, _ = artifacts
+        census = json.loads(census_path.read_text())
+        bad, out = tmp_path / "bad_census.json", tmp_path / "out"
+        bad.write_text(json.dumps({**census, "format": "timeleak-model"}))
+        assert main(["report", "--census", str(bad), "--sweep", str(sweep_dir / "sweep.json"), "--out", str(out / "r.json")]) == 5
+        assert capsys.readouterr().err == "error: census format is not timeleak-census version 1\n"
+        assert not out.exists()
+
     def test_corrupt_model_analyze(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("{broken")

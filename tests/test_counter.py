@@ -385,7 +385,7 @@ class TestPropagateBounds:
     def test_soundness_random_sampling(self, rng):
         for _ in range(20):
             net = random_reducer_net(rng, n_secret=4, k=2, hidden=(6,))
-            reducer = C.extract_reducer(net, self_check_points=0)
+            reducer = C.extract_reducer(net)
             lo = rng.integers(0, 2, size=4)
             hi = np.maximum(lo, rng.integers(0, 2, size=4))
             lb, ub = bounds(reducer, lo, hi)
@@ -396,7 +396,7 @@ class TestPropagateBounds:
 
     def test_shrinking_box_never_widens(self, rng):
         net = random_reducer_net(rng, n_secret=3, k=2, hidden=(5,))
-        reducer = C.extract_reducer(net, self_check_points=0)
+        reducer = C.extract_reducer(net)
         lb_wide, ub_wide = bounds(reducer, (0, 0, 0), (1, 1, 1))
         lb_narrow, ub_narrow = bounds(reducer, (0, 1, 0), (1, 1, 0))
         assert np.all(lb_narrow >= lb_wide - 1e-12)
@@ -415,7 +415,7 @@ class TestBnb:
             n = int(rng.integers(2, 9))
             k = int(rng.integers(1, 4))
             net = random_reducer_net(rng, n_secret=n, k=k, hidden=(int(rng.integers(2, 9)),))
-            reducer = C.extract_reducer(net, self_check_points=0)
+            reducer = C.extract_reducer(net)
             dom = C.SecretDomain(los=(0,) * n, his=(1,) * n)
             for cap in (1, 5, dom.size):
                 oracle = C.brute_force_census(reducer, dom, cap=cap)
@@ -475,7 +475,7 @@ class TestBnb:
 
     def test_completeness_sums_to_domain_size(self, rng):
         net = random_reducer_net(rng, n_secret=7, k=3, hidden=(6,))
-        reducer = C.extract_reducer(net, self_check_points=0)
+        reducer = C.extract_reducer(net)
         dom = C.SecretDomain(los=(0,) * 7, his=(1,) * 7)
         census = C.bnb_census(reducer, dom, cap=dom.size + 1)
         assert census.total_counted == dom.size == 128
@@ -483,7 +483,7 @@ class TestBnb:
 
     def test_cap_one_marks_every_feasible_class(self, rng):
         net = random_reducer_net(rng, n_secret=5, k=2, hidden=(4,))
-        reducer = C.extract_reducer(net, self_check_points=0)
+        reducer = C.extract_reducer(net)
         dom = C.SecretDomain(los=(0,) * 5, his=(1,) * 5)
         census = C.bnb_census(reducer, dom, cap=1)
         for v in range(4):
@@ -494,7 +494,7 @@ class TestBnb:
         # A 1024-bit domain cannot be exhausted; the search must stop at the
         # node budget and say so.
         net = random_reducer_net(rng, n_secret=1024, k=4, hidden=(20,))
-        reducer = C.extract_reducer(net, self_check_points=0)
+        reducer = C.extract_reducer(net)
         dom = C.SecretDomain(los=(0,) * 1024, his=(1,) * 1024)
         census = C.bnb_census(reducer, dom, cap=100, budget=500)
         assert not census.complete

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,8 +133,10 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "bounds",
-        [[0, 10**30], [-(2**63) - 1, 0], [0, 9.0], [False, True], ["0", "9"], [0], 9],
-        ids=["above-int64", "below-int64", "float", "bools", "strings", "one-bound", "scalar"],
+        [[0, 10**30], [-(2**63) - 1, 0], [0, 2**53], [-(2**53), 0], [0, 9.0], [False, True], ["0", "9"], [0], 9],
+        ids=[
+            "above-int64", "below-int64", "above-2^53-1", "below-2^53-1", "float", "bools", "strings", "one-bound", "scalar"
+        ],
     )
     def test_sidecar_domain_needs_int64_bounds(self, tmp_path, bounds):
         f = tmp_path / "t.csv"
@@ -142,6 +145,35 @@ class TestLoadCsv:
         sc.write_text(json.dumps({"secret": [{"name": "s_0", "domain": {"int": bounds}}], "public": []}))
         with pytest.raises(D.DatasetError, match=r"secret feature 's_0': int domain must be \[lo, hi\]"):
             D.load_csv(f, sidecar=sc)
+
+    def test_sidecar_domain_beyond_2_53_is_refused(self, tmp_path):
+        # Cells parse to float64, where 2^63 and 2^63 - 1 are one value, so
+        # this out-of-domain cell used to load as 9.223372036854776e18.
+        f = tmp_path / "t.csv"
+        write_lines(f, ["s_0,time", "0,1.0", "9223372036854775808,2.0"])
+        sc = tmp_path / "t.schema.json"
+        sc.write_text(json.dumps({"secret": [{"name": "s_0", "domain": {"int": [0, 2**63 - 1]}}], "public": []}))
+        must = r"int domain must be \[lo, hi\], two integers within ±\(2\^53 − 1\)"
+        with pytest.raises(D.DatasetError, match=rf"^sidecar t\.schema\.json secret feature 's_0': {must}"):
+            D.load_csv(f, sidecar=sc)
+
+    def test_inferred_domain_beyond_2_53_names_its_column(self, tmp_path):
+        # 2^53 + 1 parses to 2^53, which the inferred domain used to record.
+        f = tmp_path / "t.csv"
+        write_lines(f, ["s_0,s_1,time", "0,0,1.0", "1,9007199254740993,2.0"])
+        message = f"{f}: column 's_1': IntRange [0, 9007199254740992] is not within ±(2^53 − 1)"
+        with pytest.raises(D.DatasetError, match=f"^{re.escape(message)}$"):
+            D.load_csv(f)
+
+    def test_inferred_domain_at_2_53_minus_1_loads_exactly(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_lines(f, ["s_0,s_1,time", "0,-9007199254740991,1.0", "9007199254740991,0,2.0"])
+        ds = D.load_csv(f)
+        assert ds.schema.secret_features == (
+            ("s_0", D.IntRange(0, 2**53 - 1)),
+            ("s_1", D.IntRange(-(2**53 - 1), 0)),
+        )
+        assert ds.x[1, 0] == 2**53 - 1 and ds.x[0, 1] == -(2**53 - 1)
 
     @pytest.mark.parametrize(
         "sidecar, message",
@@ -401,6 +433,20 @@ class TestTraceDataset:
             D.TraceDataset(schema, x, y, t)
         assert (info.value.row, info.value.col) == (row, column)
         assert f"at row {row} of '{column}'" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "array, shape",
+        [("x", (2, 3)), ("y", (3, 2)), ("t", (3, 1))],
+        ids=["transposed-x", "wide-y", "column-t"],
+    )
+    def test_arrays_of_the_wrong_shape_are_refused(self, array, shape):
+        # A transposed x used to be reshaped into rows it never held.
+        schema = D.FeatureSchema((("s_0", D.Binary()), ("s_1", D.Binary())), ("p_0",), "ns")
+        arrays = {"x": np.zeros((3, 2)), "y": np.ones((3, 1)), "t": np.ones(3), array: np.zeros(shape)}
+        expected = {"x": (3, 2), "y": (3, 1), "t": (3,)}[array]
+        message = f"{array} must have shape {expected}, got {shape}"
+        with pytest.raises(D.DatasetError, match=f"^{re.escape(message)}$"):
+            D.TraceDataset(schema, arrays["x"], arrays["y"], arrays["t"])
 
     def test_first_bad_row_of_first_bad_column(self):
         schema = D.FeatureSchema((), ("p_0", "p_1"), "ns")

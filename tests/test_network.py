@@ -422,7 +422,7 @@ def reference_loss_and_gradients(net, batch, ste_clip):
 
 
 def reference_adam_step(params, grads, moments, t, config):
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = N.ADAM_BETA1, N.ADAM_BETA2
     for p, g, m, v in zip(params, grads, *moments):
         m *= b1
         m += (1 - b1) * g
@@ -430,7 +430,7 @@ def reference_adam_step(params, grads, moments, t, config):
         v += (1 - b2) * g**2
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps_adam)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + N.ADAM_EPS)
 
 
 def reference_train(ds_train, ds_valid, arch, config):
