@@ -5,6 +5,8 @@ embeds the hash of its producing run manifest; the manifest itself (with
 wall-clock timings) is written next to the primary output. Exit codes: 0
 success, 2 generation, 3 training, 4 analysis, 5 reporting; argparse and
 --config usage errors also return 2.
+
+Each command imports the pipeline modules it runs, and no others.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, counter, dataset, network, quantifier, sweep as sweep_mod
+from . import __version__, dataset
 from .jsonio import FieldError, canonical_dumps, get, hash_file, read_json, sha256_hex, write_json
-from .svgplot import sse_plot
+
+if TYPE_CHECKING:
+    from . import network
 
 _EXIT_CODES = {"gen": 2, "sweep": 3, "train": 3, "analyze": 4, "report": 5}
 
@@ -125,6 +130,8 @@ def _load_traces(args) -> dataset.TraceDataset:
 
 
 def _train_config(args) -> network.TrainConfig:
+    from . import network
+
     return network.TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch_size,
@@ -136,6 +143,8 @@ def _train_config(args) -> network.TrainConfig:
 
 
 def _architecture(args, schema: dataset.FeatureSchema, k: int) -> network.Architecture:
+    from . import network
+
     return network.Architecture(
         n_secret=schema.n_secret,
         n_public=schema.n_public,
@@ -191,6 +200,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import network, sweep
+    from .svgplot import sse_plot
+
+    if args.tau is None:
+        args.tau = sweep.DEFAULT_TAU
     manifest = Manifest("sweep", vars(args))
     manifest.add_input(args.data)
     out_dir = Path(args.out_dir)
@@ -198,7 +212,7 @@ def cmd_sweep(args) -> int:
     ds = _load_traces(args)
     arch = _architecture(args, ds.schema, k=0)
     config = _train_config(args)
-    result = sweep_mod.sweep_k(
+    result = sweep.sweep_k(
         ds,
         arch,
         args.k_max,
@@ -218,7 +232,7 @@ def cmd_sweep(args) -> int:
         records.append(replace(rec, model_path=rel))
     result = replace(result, records=tuple(records))
 
-    verdict = sweep_mod.detect(result, epsilon=args.epsilon)
+    verdict = sweep.detect(result, epsilon=args.epsilon)
     payload = result.to_json()
     if args.epsilon is not None:
         payload["epsilon"] = args.epsilon
@@ -243,6 +257,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import network
+
     manifest = Manifest("train", vars(args))
     manifest.add_input(args.data)
     out = Path(args.out)
@@ -266,6 +282,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import counter, network
+
+    if args.budget is None:
+        args.budget = counter.DEFAULT_NODE_BUDGET
     manifest = Manifest("analyze", vars(args))
     manifest.add_input(args.model)
     out = Path(args.out)
@@ -288,13 +308,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import counter, quantifier, sweep
+
     manifest = Manifest("report", vars(args))
     manifest.add_input(args.census)
     manifest.add_input(args.sweep)
     out = Path(args.out)
 
     census = counter.ClassCensus.from_json(read_json(args.census))
-    result = sweep_mod.SweepResult.from_json(read_json(args.sweep))
+    result = sweep.SweepResult.from_json(read_json(args.sweep))
     summary = {"k_star": result.k_star, "tau": result.tau, "verdict": result.verdict.label}
     model_ref = result.record(census.k).model_path if census.k < len(result.records) else None
     report = quantifier.build_report(census, sweep_summary=summary, model_ref=model_ref)
@@ -350,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--sidecar", default=None, help="schema JSON (default: <data>.schema.json if present)")
     p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--tau", type=float, default=sweep_mod.DEFAULT_TAU)
+    p.add_argument("--tau", type=float, default=None)  # cmd_sweep: sweep.DEFAULT_TAU
     p.add_argument("--seeds-per-k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=None, help="optional max-residual tolerance")
@@ -370,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="count secrets per interface valuation")
     p.add_argument("--model", required=True)
     p.add_argument("--cap", type=int, default=100)
-    p.add_argument("--budget", type=int, default=counter.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=None)  # cmd_analyze: counter.DEFAULT_NODE_BUDGET
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 

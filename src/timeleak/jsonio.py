@@ -3,7 +3,6 @@ rule: a bool is no integer, and a number is finite."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -70,6 +69,8 @@ def canonical_dumps(obj) -> str:
 
 
 def sha256_hex(data) -> str:
+    import hashlib  # loads OpenSSL, which only hashing needs
+
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+from timeleak import counter as C
 from timeleak import dataset as D
 from timeleak import network as N
+from timeleak import sweep as S
 from timeleak.cli import main
 
 QUICK_TRAIN = [
@@ -123,6 +128,12 @@ class TestPipeline:
         assert report["total"] == 4
         assert report["provenance"]["census_hash"]
         assert "manifest_hash" in report
+
+    def test_manifests_echo_default_tau_and_budget(self, artifacts):
+        _, sweep_dir, census_path, _ = artifacts
+        assert json.loads((sweep_dir / "manifest.json").read_text())["args"]["tau"] == S.DEFAULT_TAU
+        census_manifest = json.loads(Path(str(census_path) + ".manifest.json").read_text())
+        assert census_manifest["args"]["budget"] == C.DEFAULT_NODE_BUDGET
 
     def test_analyze_rejects_k0_model(self, artifacts, capsys):
         tmp_path, sweep_dir, _, _ = artifacts
@@ -676,3 +687,36 @@ class TestTauMonotonicity:
             assert rc == 0
             ks[tau] = json.loads((out_dir / "sweep.json").read_text())["k_star"]
         assert ks["0.5"] <= ks["0.05"]
+
+
+PIPELINE_MODULES = {f"timeleak.{name}" for name in ("network", "counter", "sweep", "quantifier", "svgplot")}
+
+
+def modules_loaded(code: str) -> set[str]:
+    """The pipeline modules and `hashlib` that a fresh interpreter holds
+    after it runs `code`."""
+    watched = PIPELINE_MODULES | {"hashlib"}
+    script = f"{code}\nimport sys\nprint(*set(sys.modules) & {watched!r})"
+    env = {**os.environ, "PYTHONPATH": str(Path(D.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return set(run.stdout.splitlines()[-1].split())
+
+
+class TestImports:
+    def test_cli_and_dataset_load_no_pipeline_module(self):
+        assert modules_loaded("import timeleak.cli, timeleak.dataset") == set()
+
+    def test_version_loads_no_pipeline_module(self):
+        code = "from timeleak.cli import main\ntry:\n    main(['--version'])\nexcept SystemExit:\n    pass"
+        assert modules_loaded(code) == set()
+
+    def test_gen_loads_no_pipeline_module(self, tmp_path):
+        argv = ["gen", "--family", "rn", "--preset", "R_2", "--rows", "50", "--out", str(tmp_path / "t.csv")]
+        loaded = modules_loaded(f"from timeleak.cli import main\nassert main({argv!r}) == 0")
+        assert loaded & PIPELINE_MODULES == set()
+
+    def test_analyze_loads_network_and_counter_only(self, artifacts, tmp_path):
+        _, sweep_dir, _, _ = artifacts
+        argv = ["analyze", "--model", str(sweep_dir / "models/k1.json"), "--cap", "4", "--out", str(tmp_path / "c.json")]
+        loaded = modules_loaded(f"from timeleak.cli import main\nassert main({argv!r}) == 0")
+        assert loaded & PIPELINE_MODULES == {"timeleak.network", "timeleak.counter"}

@@ -254,6 +254,16 @@ class TestTally:
         small, large = peak(100), peak(1000)
         assert large < 1.25 * small and large < 65_536
 
+    @pytest.mark.parametrize("rows", [1, 7, 64, C.ENUM_BLOCK])
+    def test_buffers_start_on_cache_lines(self, rng, rows):
+        domains = (D.IntRange(-30, 30), D.Binary(), D.IntRange(0, 9))
+        reducer = straddling_reducer(rng, domains, hidden=12, k=4)
+        bufs = C.EvalBuffers(reducer, rows)
+        assert [a.ctypes.data % 64 for a in bufs.folded + bufs.layers] == [0, 0, 0]
+        (w, b), = reducer.layers[1:]
+        assert np.array_equal(bufs.folded[0], np.hstack([w, b[:, None]]))
+        assert bufs.layers[0].shape == (13, rows) and np.all(bufs.layers[0] == 1.0)
+
     def test_tie_tolerance_scales_with_the_terms(self, rng):
         # M_j = tie_tolerance / TIE_RTOL bounds |pre-activation j| on every
         # point of the domain, and scales with the interface layer.
