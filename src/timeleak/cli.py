@@ -264,8 +264,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
 
     ds = _load_traces(args)
-    trainval, test = dataset.split(ds, args.test_fraction, args.seed)
-    train_ds, valid_ds = dataset.split(trainval, args.test_fraction, args.seed + 1)
+    train_ds, valid_ds, test = dataset.split_train_valid_test(ds, args.test_fraction, args.seed)
     arch = _architecture(args, ds.schema, k=args.k)
     net, history = network.train(train_ds, valid_ds, arch, _train_config(args))
     manifest.stage_done("train")

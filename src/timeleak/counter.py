@@ -74,22 +74,6 @@ class CounterError(Exception):
     pass
 
 
-class ZeroInterfaceWidth(CounterError):
-    pass
-
-
-class DomainTooLarge(CounterError):
-    pass
-
-
-class IncompleteCensus(CounterError):
-    pass
-
-
-class ExtractionMismatch(CounterError):
-    pass
-
-
 @dataclass(frozen=True)
 class SecretDomain:
     """Finite per-feature integer ranges: the box [los, his] of raw secrets."""
@@ -222,7 +206,7 @@ def extract_reducer(net: TriBranchNetwork) -> ReducerNet:
     """Pull the secret branch out of a trained model and verify it agrees with
     the parent network's interface bits on random in-domain points."""
     if net.k == 0:
-        raise ZeroInterfaceWidth("k=0 model has no reducer - nothing leaks through it")
+        raise CounterError("k=0 model has no reducer - nothing leaks through it")
     if net.schema is None or net.normalizer is None:
         raise CounterError("model lacks schema/normalizer metadata")
     reducer = ReducerNet(
@@ -239,7 +223,7 @@ def extract_reducer(net: TriBranchNetwork) -> ReducerNet:
     no_public = np.zeros((SELF_CHECK_POINTS, net.arch.n_public))
     parent = predict_batch(net, net.normalizer.map_secrets(x), no_public)[1]
     if not np.array_equal(parent, reducer.bits(x)):
-        raise ExtractionMismatch("extracted reducer disagrees with the parent network")
+        raise CounterError("extracted reducer disagrees with the parent network")
     return reducer
 
 
@@ -358,25 +342,25 @@ def _offsets(shape: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.stack(np.unravel_index(index, tuple(shape.tolist())), axis=-1)
 
 
-def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuffers | None = None) -> np.ndarray:
+def _tally(reducer: ReducerNet, los, his, bufs: EvalBuffers | None = None) -> np.ndarray:
     """Count per valuation over every integer point of the boxes [los[i], his[i]].
 
     `los` and `his` are (N, d) matrices, or one box as two vectors. The
     points of one box shape are rows (the leading features, listed by
     index) times a grid (the longest run of trailing features with at most
-    `block` points). The first layer is affine, so its pre-activation at
-    row point r plus grid offset g is the sum of two tables:
+    `ENUM_BLOCK` points). The first layer is affine, so its pre-activation
+    at row point r plus grid offset g is the sum of two tables:
     R[:, r] = W1 (r - shift) / denom + b1, built per step, and
     G[:, g] = W1 g / denom, built once per shape. Each unit's sum is one
     K = 2 product `[R | 1] @ [1 ; G]`, batched over units, which rounds
     exactly as `R + G` does and runs faster than numpy's broadcast add. The
-    other layers run on (units, points) matrices of at most `block` points
-    per step, written into `bufs` (new buffers when none are given); each
-    hidden matrix ends in a row of ones, so `[W | b]` adds the bias inside
-    the product. A pre-activation within the reducer's `tie_tolerance` of
-    zero may have the wrong sign in float, so the valuations of those points
-    are decided again in exact arithmetic; the counts are those of exact
-    arithmetic, whatever the blocks.
+    other layers run on (units, points) matrices of at most `ENUM_BLOCK`
+    points per step, written into `bufs` (new buffers when none are given);
+    each hidden matrix ends in a row of ones, so `[W | b]` adds the bias
+    inside the product. A pre-activation within the reducer's
+    `tie_tolerance` of zero may have the wrong sign in float, so the
+    valuations of those points are decided again in exact arithmetic; the
+    counts are those of exact arithmetic, whatever the blocks.
     """
     los = np.atleast_2d(np.asarray(los, dtype=np.int64))
     sizes = np.atleast_2d(np.asarray(his, dtype=np.int64)) - los + 1
@@ -385,6 +369,7 @@ def _tally(reducer: ReducerNet, los, his, block: int = ENUM_BLOCK, bufs: EvalBuf
     shift, denom = reducer.input_shift, reducer.input_denom
     pow2 = 2.0 ** np.arange(reducer.k - 1, -1, -1)
     tally = np.zeros(2**reducer.k, dtype=np.int64)
+    block = ENUM_BLOCK
     if bufs is None:
         bufs = EvalBuffers(reducer, block)
     tol = bufs.tol
@@ -442,7 +427,7 @@ def brute_force_census(reducer: ReducerNet, dom: SecretDomain, cap: int | None =
     counts are capped like the branch-and-bound census."""
     total = dom.size
     if total > BRUTE_FORCE_LIMIT:
-        raise DomainTooLarge(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
+        raise CounterError(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
     _check_domain(reducer, dom)
     census = census_from_sizes(_tally(reducer, dom.los, dom.his), cap, reducer.k)
     return replace(census, nodes=total)
@@ -504,7 +489,6 @@ def bnb_census(
     dom: SecretDomain,
     cap: int,
     budget: int = DEFAULT_NODE_BUDGET,
-    leaf_limit: int = LEAF_ENUM_LIMIT,
 ) -> ClassCensus:
     """Branch-and-bound census, exact wherever brute force is applicable.
 
@@ -518,10 +502,11 @@ def bnb_census(
     Interval bounds fix an interface bit over a box where they clear the
     reducer's tie tolerance (see `TIE_RTOL`); fully determined boxes
     are counted in closed form, boxes that can only feed already-capped
-    classes are pruned, small boxes are enumerated exactly, and the rest
-    split: binary features before integer features, integer features
-    bisecting their widest interval. Every box taken is one node. Budget
-    exhaustion returns a partial census marked incomplete.
+    classes are pruned, boxes of at most `LEAF_ENUM_LIMIT` points are
+    enumerated exactly, and the rest split: binary features before integer
+    features, integer features bisecting their widest interval. Every box
+    taken is one node. Budget exhaustion returns a partial census marked
+    incomplete.
     """
     if cap < 1:
         raise CounterError("cap must be >= 1")
@@ -586,7 +571,7 @@ def bnb_census(
         pruned = np.zeros_like(decided)
         if capped.any():
             pruned[~decided] = _all_capped(capped, base[~decided], ~free[~decided] @ pow2)
-        leaf = ~decided & ~pruned & (sizes <= leaf_limit)
+        leaf = ~decided & ~pruned & (sizes <= LEAF_ENUM_LIMIT)
         if leaf.any():
             add(_tally(reducer, los[leaf], his[leaf], bufs=bufs))
         branch = ~(decided | pruned | leaf)

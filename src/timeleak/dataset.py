@@ -30,10 +30,6 @@ class DatasetError(ValueError):
     """Base class for trace-data errors."""
 
 
-class MissingTimeColumn(DatasetError):
-    pass
-
-
 class NonNumericCell(DatasetError):
     def __init__(self, row: int, col: str, value: str):
         super().__init__(f"non-numeric cell at row {row}, column {col!r}: {value!r}")
@@ -60,18 +56,6 @@ class SecretValueOutOfDomain(DatasetError):
         super().__init__(f"secret value {value!r} at row {row} outside domain of {col!r}")
         self.row = row
         self.col = col
-
-
-class DatasetTooSmall(DatasetError):
-    pass
-
-
-class EmptyClauseList(DatasetError):
-    pass
-
-
-class TooFewSecretBits(DatasetError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -246,11 +230,11 @@ def load_csv(path, sidecar=None) -> TraceDataset:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
-            raise MissingTimeColumn(f"{path}: empty file") from None
+            raise DatasetError(f"{path}: empty file") from None
         parsed = _parse_body(fh, len(header))
 
     if not header or header[-1] != "time":
-        raise MissingTimeColumn(f"{path}: final column must be 'time'")
+        raise DatasetError(f"{path}: final column must be 'time'")
     secret_cols: list[tuple[int, str]] = []
     public_cols: list[tuple[int, str]] = []
     for i, name in enumerate(header[:-1]):
@@ -524,9 +508,18 @@ def split(ds: TraceDataset, test_fraction: float, seed: int) -> tuple[TraceDatas
     n = ds.n_rows
     n_test = max(1, int(round(test_fraction * n)))
     if n_test >= n:
-        raise DatasetTooSmall(f"cannot split {n} rows with test fraction {test_fraction}")
+        raise DatasetError(f"cannot split {n} rows with test fraction {test_fraction}")
     perm = np.random.default_rng(seed).permutation(n)
     return ds.subset(perm[n_test:]), ds.subset(perm[:n_test])
+
+
+def split_train_valid_test(ds: TraceDataset, fraction: float, seed: int) -> tuple[TraceDataset, TraceDataset, TraceDataset]:
+    """Train, validation and test parts: `split` holds out the test part with
+    `seed`, then the validation part from the rest with the same fraction and
+    `seed + 1`."""
+    trainval, test = split(ds, fraction, seed)
+    train, valid = split(trainval, fraction, seed + 1)
+    return train, valid, test
 
 
 @dataclass(frozen=True, eq=False)
@@ -664,7 +657,7 @@ def gen_rn(
     if n_secret_bits < 1:
         raise DatasetError("need at least one secret bit")
     if not clauses:
-        raise EmptyClauseList("clause list is empty")
+        raise DatasetError("clause list is empty")
     coeffs = [c.coeff for c in clauses]
     if len(set(coeffs)) != len(coeffs) or any(c <= 0 for c in coeffs):
         raise DatasetError("clause coefficients must be distinct and positive")
@@ -806,7 +799,7 @@ def gen_bl(
     if i < 1:
         raise DatasetError("need at least one variant per complexity")
     if n_secret_bits < 1 or 4 * i > 2**n_secret_bits:
-        raise TooFewSecretBits(f"{n_secret_bits} secret bits cannot index {4 * i} behaviors")
+        raise DatasetError(f"{n_secret_bits} secret bits cannot index {4 * i} behaviors")
     if public_range.lo < 1:
         raise DatasetError("public range must start at 1 or above (log of the input)")
 

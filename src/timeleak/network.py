@@ -49,24 +49,12 @@ class NetworkError(Exception):
     pass
 
 
-class DimensionMismatch(NetworkError):
-    pass
-
-
 class NonFiniteLoss(NetworkError):
     def __init__(self, message: str, epoch: int, seed: int, k: int):
         super().__init__(message)
         self.epoch = epoch
         self.seed = seed
         self.k = k
-
-
-class ModelFormatError(NetworkError):
-    pass
-
-
-class SchemaVersionMismatch(ModelFormatError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,14 +73,14 @@ class Architecture:
         object.__setattr__(self, "public_widths", tuple(self.public_widths))
         object.__setattr__(self, "joint_widths", tuple(self.joint_widths))
         if not 0 <= self.k <= MAX_K:
-            raise DimensionMismatch(f"interface width k must be >= 0 and <= {MAX_K}, got {self.k}")
+            raise NetworkError(f"interface width k must be >= 0 and <= {MAX_K}, got {self.k}")
         if self.n_secret < 0 or self.n_public < 0 or (self.n_secret == 0 and self.n_public == 0):
-            raise DimensionMismatch("need at least one input feature")
+            raise NetworkError("need at least one input feature")
         if self.k > 0 and self.n_secret == 0:
-            raise DimensionMismatch("a k >= 1 interface needs secret features")
+            raise NetworkError("a k >= 1 interface needs secret features")
         for w in self.secret_widths + self.public_widths + self.joint_widths:
             if w < 1:
-                raise DimensionMismatch("hidden widths must be >= 1")
+                raise NetworkError("hidden widths must be >= 1")
 
     @property
     def public_out_dim(self) -> int:
@@ -197,14 +185,14 @@ class Stack:
             raise NetworkError("a stack needs at least one model")
         template = replace(self.archs[0], k=0)
         if any(replace(a, k=0) != template for a in self.archs) or any(a.k > b.k for a, b in zip(self.archs, self.archs[1:])):
-            raise DimensionMismatch("stacked models must differ only in k and come in ascending k")
+            raise NetworkError("stacked models must differ only in k and come in ascending k")
         self.runs = _runs(self.archs)
         self.n_plain = 0 if self.runs[0][0] else self.runs[0][2]  # the k = 0 models come first
         self.secret_runs = self.runs[1:] if self.n_plain else self.runs
         size = sum(math.prod(shape) for shape, _ in _stack_views(self.archs)[1])
         self.flat = np.zeros(size) if flat is None else flat
         if self.flat.shape != (size,) or self.flat.dtype != np.float64:
-            raise DimensionMismatch("parameter vector does not match the stacked architectures")
+            raise NetworkError("parameter vector does not match the stacked architectures")
         (self.secret, self.iface, self.public, self.joint), _ = _stack_views(self.archs, self.flat)
         (first_w, first_b), rest = self.joint[0], self.joint[1:]
         first = ([w.swapaxes(-1, -2) for w in first_w], first_b[..., None, :])
@@ -433,7 +421,7 @@ def predict_batch(net: TriBranchNetwork, xn: np.ndarray, yn: np.ndarray) -> tupl
     """Normalized predictions and int64 interface bits of one model for
     (rows, d) batches of normalized inputs."""
     if xn.shape[-1] != net.arch.n_secret or yn.shape[-1] != net.arch.n_public:
-        raise DimensionMismatch(
+        raise NetworkError(
             f"expected {net.arch.n_secret} secret / {net.arch.n_public} public features, "
             f"got {xn.shape[-1]} / {yn.shape[-1]}"
         )
@@ -609,9 +597,9 @@ def train_stack(
     if not seeds or len(archs) != len(seeds):
         raise NetworkError("need one seed per architecture, and at least one")
     if ds_train.schema != ds_valid.schema:
-        raise DimensionMismatch("train and validation datasets must share a schema")
+        raise NetworkError("train and validation datasets must share a schema")
     if archs[0].n_secret != ds_train.schema.n_secret or archs[0].n_public != ds_train.schema.n_public:
-        raise DimensionMismatch("architecture input dims do not match the schema")
+        raise NetworkError("architecture input dims do not match the schema")
     order = sorted(range(len(archs)), key=lambda i: archs[i].k)  # input position of each stack row
     stack = Stack([archs[i] for i in order])
 
@@ -796,7 +784,7 @@ def _architecture_from_json(a) -> Architecture:
         widths.append(tuple(get(ws, i, int, lo=1, where=f"architecture.{name}") for i in range(len(ws))))
     try:
         return Architecture(*ints, *widths)
-    except DimensionMismatch as exc:
+    except NetworkError as exc:
         raise FieldError(f"architecture: {exc}") from None
 
 
@@ -828,12 +816,12 @@ def _stored_arrays(weights, arch: Architecture) -> list[np.ndarray]:
 def from_json(obj: dict) -> TriBranchNetwork:
     """A model from its JSON object. Every field is checked before any array
     of the architecture's size is allocated; a malformed file raises
-    `ModelFormatError` naming the field."""
+    `NetworkError` naming the field."""
     try:
         if get(obj, "format", default=None) != MODEL_FORMAT:
-            raise SchemaVersionMismatch("not a timeleak model file")
+            raise NetworkError("not a timeleak model file")
         if (version := get(obj, "version", int, default=None)) != MODEL_VERSION:
-            raise SchemaVersionMismatch(f"unsupported model version {version!r}")
+            raise NetworkError(f"unsupported model version {version!r}")
         arch = _architecture_from_json(get(obj, "architecture", dict))
         arrays = _stored_arrays(get(obj, "weights", dict), arch)
         schema = get(obj, "schema", dict, type(None), default=None) or None
@@ -849,7 +837,7 @@ def from_json(obj: dict) -> TriBranchNetwork:
             normalizer = normalizer_from_json(normalizer, arch.n_secret, arch.n_public)
         seed, metrics = get(obj, "seed", int, lo=0, default=0), get(obj, "metrics", dict, type(None), default=None)
     except FieldError as exc:
-        raise ModelFormatError(f"model {exc}") from None
+        raise NetworkError(f"model {exc}") from None
     flat = np.concatenate([a.ravel() for a in arrays])  # the layout of the one-model stack
     return TriBranchNetwork(arch, flat, normalizer=normalizer, schema=schema, seed=seed, metrics=metrics)
 
@@ -862,5 +850,5 @@ def load(path) -> TriBranchNetwork:
     try:
         obj = read_json(path)
     except FieldError as exc:
-        raise ModelFormatError(str(exc)) from None
+        raise NetworkError(str(exc)) from None
     return from_json(obj)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .counter import ClassCensus, IncompleteCensus
+from .counter import ClassCensus
 from .jsonio import canonical_dumps, sha256_hex
 
 REPORT_FORMAT = "timeleak-report"
@@ -22,20 +22,12 @@ class QuantifierError(Exception):
     pass
 
 
-class EmptyCensus(QuantifierError):
-    pass
-
-
-class InconsistentInputs(QuantifierError):
-    pass
-
-
 def _feasible_sizes(census: ClassCensus) -> list[int]:
     if not census.complete:
-        raise IncompleteCensus("cannot quantify an incomplete census")
+        raise QuantifierError("cannot quantify an incomplete census")
     sizes = [c for c in census.counts if c > 0]
     if not sizes:
-        raise EmptyCensus("census has no feasible class")
+        raise QuantifierError("census has no feasible class")
     return sizes
 
 
@@ -109,7 +101,7 @@ def build_report(
     model; its chosen k must match the census.
     """
     if sweep_summary is not None and sweep_summary.get("k_star") != census.k:
-        raise InconsistentInputs(
+        raise QuantifierError(
             f"census k={census.k} does not match sweep k_star={sweep_summary.get('k_star')}"
         )
     sizes = _feasible_sizes(census)

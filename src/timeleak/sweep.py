@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .dataset import TraceDataset, split
+from .dataset import TraceDataset, split_train_valid_test
 from .jsonio import FieldError, get
 from .network import (
     Architecture,
-    DimensionMismatch,
+    NetworkError,
     NonFiniteLoss,
     TrainConfig,
     TriBranchNetwork,
@@ -179,9 +179,9 @@ def sweep_k(
     width diverges, the error names the smallest such k with its seed, as if
     the widths had trained one after another in increasing k.
 
-    One shuffle-split is shared by all widths: `test_fraction` held out for
-    the records, and the same fraction carved from the remainder as the
-    early-stopping validation set.
+    One shuffle-split (`dataset.split_train_valid_test`) is shared by all
+    widths: `test_fraction` held out for the records, and the same fraction
+    carved from the remainder as the early-stopping validation set.
     """
     if k_max < 1:
         raise SweepError("k_max must be >= 1")
@@ -192,10 +192,9 @@ def sweep_k(
     for k in range(k_max + 1):
         try:
             archs.append(replace(arch_template, k=k))
-        except DimensionMismatch as exc:
+        except NetworkError as exc:
             raise SweepError(f"cannot build the network of width k={k}: {exc}") from exc
-    trainval, test = split(ds, test_fraction, config.seed)
-    train_ds, valid_ds = split(trainval, test_fraction, config.seed + 1)
+    train_ds, valid_ds, test = split_train_valid_test(ds, test_fraction, config.seed)
 
     seeds = [derive_seed(config.seed, k, i) for k in range(k_max + 1) for i in range(seeds_per_k)]
     try:

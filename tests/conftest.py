@@ -68,6 +68,19 @@ def random_reducer_net(
     return net
 
 
+def flip_one_self_check_bit(monkeypatch) -> None:
+    """Make the parent network's interface bits, as `counter.extract_reducer`
+    reads them for its self-check, disagree with the reducer on one point."""
+    real = C.predict_batch
+
+    def predict_batch(net, xn, yn):
+        t_hat, bits = real(net, xn, yn)
+        bits[0, 0] ^= 1
+        return t_hat, bits
+
+    monkeypatch.setattr(C, "predict_batch", predict_batch)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -7,11 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import timeleak
 from timeleak import counter as C
 from timeleak import dataset as D
 from timeleak import network as N
 from timeleak import sweep as S
 from timeleak.cli import main
+
+from conftest import flip_one_self_check_bit
 
 QUICK_TRAIN = [
     "--secret-widths", "5",
@@ -394,6 +399,14 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_self_check_refusal_analyze_exits_4(self, artifacts, tmp_path, capsys, monkeypatch):
+        _, sweep_dir, _, _ = artifacts
+        flip_one_self_check_bit(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", str(sweep_dir / "models/k1.json"), "--out", str(out / "c.json")]) == 4
+        assert capsys.readouterr().err == "error: extracted reducer disagrees with the parent network\n"
+        assert not out.exists()
+
     def test_not_a_census_report_exits_5(self, artifacts, tmp_path, capsys):
         _, sweep_dir, census_path, _ = artifacts
         census = json.loads(census_path.read_text())
@@ -560,6 +573,33 @@ class TestErrorPaths:
             ["report", "--census", str(tmp_path / "no.json"), "--sweep", str(tmp_path / "no2.json"), "--out", str(tmp_path / "r.json")]
         )
         assert rc == 5
+
+
+class TestErrorClasses:
+    def test_each_module_defines_only_these_error_classes(self):
+        # One error class per stage, `FieldError` for JSON fields, and the
+        # subclasses that carry data: `NonFiniteLoss` its k, seed and epoch,
+        # the cell errors the row and column of the trace rule that broke.
+        expected = {
+            "cli": ["CliError"],
+            "counter": ["CounterError"],
+            "dataset": ["DatasetError", "NonFiniteCell", "NonFiniteValue", "NonNumericCell", "SecretValueOutOfDomain"],
+            "jsonio": ["FieldError"],
+            "network": ["NetworkError", "NonFiniteLoss"],
+            "quantifier": ["QuantifierError"],
+            "sweep": ["SweepError"],
+        }
+        found = {}
+        for info in pkgutil.iter_modules(timeleak.__path__):
+            module = importlib.import_module(f"timeleak.{info.name}")
+            names = sorted(
+                name
+                for name, obj in vars(module).items()
+                if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+            )
+            if names:
+                found[info.name] = names
+        assert found == expected
 
 
 class TestTrainCommand:

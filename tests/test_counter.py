@@ -12,7 +12,7 @@ from timeleak import dataset as D
 from timeleak import network as N
 from timeleak import quantifier as Q
 
-from conftest import binary_schema, identity_normalizer, random_reducer_net
+from conftest import binary_schema, flip_one_self_check_bit, identity_normalizer, random_reducer_net
 
 
 def hand_reducer(weights, bias, domains, hidden=()):
@@ -143,7 +143,14 @@ class TestExtractReducer:
         net = N.init(arch, seed=0)
         net.schema = binary_schema(2)
         net.normalizer = identity_normalizer(2)
-        with pytest.raises(C.ZeroInterfaceWidth):
+        with pytest.raises(C.CounterError, match="^k=0 model has no reducer - nothing leaks through it$"):
+            C.extract_reducer(net)
+
+    def test_self_check_refuses_a_disagreeing_reducer(self, rng, monkeypatch):
+        net = random_reducer_net(rng, n_secret=6, k=2, hidden=(5,))
+        C.extract_reducer(net)
+        flip_one_self_check_bit(monkeypatch)
+        with pytest.raises(C.CounterError, match="^extracted reducer disagrees with the parent network$"):
             C.extract_reducer(net)
 
     def test_wide_secret_branch_extraction(self, rng):
@@ -162,19 +169,20 @@ class TestReducerBits:
 
 
 class TestTally:
-    def test_mixed_box_matches_explicit_listing(self, rng):
+    def test_mixed_box_matches_explicit_listing(self, rng, monkeypatch):
         # Negative integer lo, a fixed and a free binary axis, and a block
         # size that splits the 96-point box unevenly.
         domains = (D.IntRange(-5, 5), D.Binary(), D.Binary(), D.IntRange(-3, 3))
         reducer = straddling_reducer(rng, domains)
         los, his = (-4, 1, 0, -3), (3, 1, 1, 2)
         expected = exact_counts(reducer, box_points(los, his))
-        tally = C._tally(reducer, los, his, block=7)
+        monkeypatch.setattr(C, "ENUM_BLOCK", 7)
+        tally = C._tally(reducer, los, his)
         assert tally.tolist() == expected
         assert np.count_nonzero(tally) > 1
         assert tally.sum() == 8 * 1 * 2 * 6
 
-    def test_many_boxes_match_explicit_listing(self, rng):
+    def test_many_boxes_match_explicit_listing(self, rng, monkeypatch):
         # Boxes of four shapes, some sharing one, with negative lo. At block 7
         # the 8-point and 24-point shapes list rows of a smaller grid, and the
         # 11-wide last feature takes no grid at all (one point per row).
@@ -192,10 +200,11 @@ class TestTally:
         expected = exact_counts(reducer, [p for los, his in boxes for p in box_points(los, his)])
         los, his = (np.array([box[i] for box in boxes]) for i in (0, 1))
         for block in (1, 7, 64, C.ENUM_BLOCK):
-            assert C._tally(reducer, los, his, block=block).tolist() == expected
+            monkeypatch.setattr(C, "ENUM_BLOCK", block)
+            assert C._tally(reducer, los, his).tolist() == expected
         assert np.count_nonzero(expected) > 1
 
-    def test_large_biases_near_a_tie(self, rng):
+    def test_large_biases_near_a_tie(self, rng, monkeypatch):
         # Biases about 1e6 times the weights put the pre-activations near
         # 1e6, where a bias added inside a product may round differently
         # from one added after it. The interface biases put one point on the
@@ -207,6 +216,7 @@ class TestTally:
         # lists them.
         points = np.array(box_points((0,) * 13, (1,) * 13))
         xs = points.astype(np.float64)
+        blocks = (1, 7, 64, C.ENUM_BLOCK)
         for _ in range(4):
             w1 = rng.normal(size=(7, 13))
             w1[:, 7:] = 0.0
@@ -223,16 +233,19 @@ class TestTally:
             ties = (np.abs(reducer.preactivations(xs)) < reducer.tie_tolerance).all(axis=1)
             assert ties.sum() >= 64
             counts = (64 * np.bincount(reducer.exact_valuations(points[::64]), minlength=4)).tolist()
-            for block in (1, 7, 64, C.ENUM_BLOCK):
-                assert C._tally(reducer, (0,) * 13, (1,) * 13, block=block).tolist() == counts
+            for block in blocks:
+                monkeypatch.setattr(C, "ENUM_BLOCK", block)
+                assert C._tally(reducer, (0,) * 13, (1,) * 13).tolist() == counts
 
-    def test_points_per_evaluation_are_bounded(self, rng):
-        # A step writes at most `block` points into buffers of `block`
+    def test_points_per_evaluation_are_bounded(self, rng, monkeypatch):
+        # A step writes at most `ENUM_BLOCK` points into buffers of that many
         # columns (a larger step would not fit them), and what else the
         # kernel allocates does not grow with the boxes: ten times the
         # points, 82,082 of them, whose (points, d) matrix alone would take
         # about 2 MB, leave the peak where it was, a few kilobytes.
         import tracemalloc
+
+        monkeypatch.setattr(C, "ENUM_BLOCK", 64)
 
         def peak(lo):
             domains = (D.IntRange(-lo, lo), D.Binary(), D.IntRange(-20, 20))
@@ -241,10 +254,10 @@ class TestTally:
             his = np.array([[lo, 1, 20], [0, 1, 9], [4, 1, 3]])
             bufs = C.EvalBuffers(reducer, 64)
             assert [buf.shape for buf in bufs.layers] == [(8 + 1, 64), (3, 64)]
-            C._tally(reducer, los[:1], his[:1], block=64, bufs=bufs)  # first-call caches
+            C._tally(reducer, los[:1], his[:1], bufs=bufs)  # first-call caches
             tracemalloc.start()
             try:
-                tally = C._tally(reducer, los, his, block=64, bufs=bufs)
+                tally = C._tally(reducer, los, his, bufs=bufs)
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -281,25 +294,26 @@ class TestNearTies:
     rounding: both counters must agree with exact arithmetic at every leaf
     size, whatever batch a point is evaluated in."""
 
-    def check(self, reducer):
+    def check(self, reducer, monkeypatch):
         dom = domain_of(reducer)
         oracle = C.census_from_sizes(exact_counts(reducer, box_points(dom.los, dom.his)), dom.size, reducer.k)
         assert C.brute_force_census(reducer, dom, cap=dom.size) == oracle
         for leaf_limit in (1, 16, 256, dom.size):
-            assert C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=leaf_limit) == oracle
+            monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
+            assert C.bnb_census(reducer, dom, cap=dom.size) == oracle
 
-    def test_random_near_tie_reducers(self):
+    def test_random_near_tie_reducers(self, monkeypatch):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            self.check(near_tie_reducer(rng, (D.Binary(),) * 6, hidden=int(rng.integers(3, 17)), k=1))
+            self.check(near_tie_reducer(rng, (D.Binary(),) * 6, hidden=int(rng.integers(3, 17)), k=1), monkeypatch)
 
-    def test_large_integer_domain(self):
+    def test_large_integer_domain(self, monkeypatch):
         # Raw inputs up to 10^4 in magnitude, unnormalized.
         rng = np.random.default_rng(11)
         for _ in range(3):
-            self.check(near_tie_reducer(rng, (D.IntRange(-10000, 10000),), hidden=4, k=2))
+            self.check(near_tie_reducer(rng, (D.IntRange(-10000, 10000),), hidden=4, k=2), monkeypatch)
 
-    def test_large_weights(self):
+    def test_large_weights(self, monkeypatch):
         # Weights up to about 10^6 on inputs up to 10^4: pre-activations up
         # to about 10^15, whose float rounding is far above any fixed
         # absolute margin.
@@ -308,7 +322,7 @@ class TestNearTies:
         for _ in range(10):
             reducer = near_tie_reducer(rng, domains, hidden=6, k=2, scale=3e5, shift=(-50, 0, 0, 0), denom=(0.01, 1, 1, 1))
             assert np.abs(reducer.iface_w).max() < 2e6
-            self.check(reducer)
+            self.check(reducer, monkeypatch)
 
     def test_bounds_decide_only_beyond_the_tolerance(self):
         # pre = (w0 x0 - w1 x1) / 7 + b at x = (71, 71): two terms near 10^10
@@ -357,7 +371,7 @@ class TestBruteForce:
 
     def test_domain_guard(self):
         reducer = hand_reducer([[1.0]], [0.0], (D.IntRange(0, 2**21),))
-        with pytest.raises(C.DomainTooLarge):
+        with pytest.raises(C.CounterError, match="^domain size 2097153 exceeds brute-force guard 1048576$"):
             C.brute_force_census(reducer, C.SecretDomain(los=(0,), his=(2**21,)))
 
 
@@ -420,7 +434,8 @@ class TestBnb:
             and_gate_reducer, dom, cap=10
         )
 
-    def test_random_reducers_oracle_equivalence(self, rng):
+    def test_random_reducers_oracle_equivalence(self, rng, monkeypatch):
+        leaf_limits = (1, 16, C.LEAF_ENUM_LIMIT)
         for _ in range(10):
             n = int(rng.integers(2, 9))
             k = int(rng.integers(1, 4))
@@ -429,19 +444,22 @@ class TestBnb:
             dom = C.SecretDomain(los=(0,) * n, his=(1,) * n)
             for cap in (1, 5, dom.size):
                 oracle = C.brute_force_census(reducer, dom, cap=cap)
-                for leaf_limit in (1, 16, C.LEAF_ENUM_LIMIT, dom.size):
-                    assert C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit) == oracle
+                for leaf_limit in leaf_limits + (dom.size,):
+                    monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
+                    assert C.bnb_census(reducer, dom, cap=cap) == oracle
 
-    def test_int_range_domains(self, rng):
+    def test_int_range_domains(self, rng, monkeypatch):
         # Non-binary features exercise the bisection branch once the
         # 121-point domain exceeds the leaf limit.
         reducer = straddling_reducer(rng, (D.IntRange(0, 10), D.IntRange(-5, 5)), hidden=4, k=2)
         dom = C.SecretDomain(los=(0, -5), his=(10, 5))
+        leaf_limits = (1, 16, C.LEAF_ENUM_LIMIT, dom.size)
         for cap in (1, 7, dom.size):
             oracle = C.brute_force_census(reducer, dom, cap=cap)
             assert oracle.feasible_count > 1
-            for leaf_limit in (1, 16, C.LEAF_ENUM_LIMIT, dom.size):
-                census = C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit)
+            for leaf_limit in leaf_limits:
+                monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
+                census = C.bnb_census(reducer, dom, cap=cap)
                 assert census == oracle
                 assert leaf_limit >= dom.size or census.nodes > 1
 
@@ -476,12 +494,13 @@ class TestBnb:
         assert np.sum((lb < tol) & (ub >= -tol)) == 17
         oracle = C.brute_force_census(reducer, dom, cap=1)
         assert oracle.feasible_count == 64
+        monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", 4)
         for block in (C.FRONTIER_BLOCK, 3):
             monkeypatch.setattr(C, "FRONTIER_BLOCK", block)
-            census = C.bnb_census(reducer, dom, cap=1, leaf_limit=4)
+            census = C.bnb_census(reducer, dom, cap=1)
             assert census == oracle
             assert census.node_outcomes.pruned > 0
-            assert census.nodes < C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=4).nodes
+            assert census.nodes < C.bnb_census(reducer, dom, cap=dom.size).nodes
 
     def test_completeness_sums_to_domain_size(self, rng):
         net = random_reducer_net(rng, n_secret=7, k=3, hidden=(6,))
@@ -509,7 +528,7 @@ class TestBnb:
         census = C.bnb_census(reducer, dom, cap=100, budget=500)
         assert not census.complete
         assert census.nodes <= 500
-        with pytest.raises(C.IncompleteCensus):
+        with pytest.raises(Q.QuantifierError, match="^cannot quantify an incomplete census$"):
             Q.build_report(census)
 
     def test_budget_runs_out_inside_a_block(self, rng):
@@ -540,13 +559,17 @@ class TestBnb:
             dom = C.SecretDomain(los=tuple(d.lo for d in domains), his=tuple(d.hi for d in domains))
             # Uncapped searches prune nothing, so they visit the same boxes
             # with the same outcomes whatever the block size.
-            uncapped = {leaf_limit: C.bnb_census(reducer, dom, cap=dom.size, leaf_limit=leaf_limit) for leaf_limit in (1, 16, dom.size)}
+            uncapped = {}
+            for leaf_limit in (1, 16, dom.size):
+                monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
+                uncapped[leaf_limit] = C.bnb_census(reducer, dom, cap=dom.size)
             monkeypatch.setattr(C, "FRONTIER_BLOCK", block)
             for cap in (1, 5, dom.size):
                 oracle = C.brute_force_census(reducer, dom, cap=cap)
                 assert oracle.feasible_count > 1
                 for leaf_limit in (1, 16, dom.size):
-                    census = C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit)
+                    monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
+                    census = C.bnb_census(reducer, dom, cap=cap)
                     assert census == oracle
                     assert leaf_limit >= dom.size or census.nodes > block
                     if cap == dom.size:
@@ -554,20 +577,23 @@ class TestBnb:
                         assert (census.nodes, census.node_outcomes) == (default.nodes, default.node_outcomes)
             monkeypatch.undo()
 
-    def test_node_outcomes_sum_to_nodes(self, rng, and_gate_reducer):
+    def test_node_outcomes_sum_to_nodes(self, rng, and_gate_reducer, monkeypatch):
         tie = hand_reducer([[1.0, -1.0]], [0.0], (D.Binary(), D.Binary()))
         constant = hand_reducer([[0.0, 0.0, 0.0]], [-1.0], (D.Binary(),) * 3)
         mixed = straddling_reducer(rng, (D.IntRange(-40, 40), D.Binary(), D.Binary()))
         seen = C.NodeOutcomes(0, 0, 0, 0)
+        leaf_limits = (1, 16, C.LEAF_ENUM_LIMIT)
         for reducer in (and_gate_reducer, tie, constant, mixed):
             dom = C.SecretDomain(los=tuple(d.lo for d in reducer.domains), his=tuple(d.hi for d in reducer.domains))
             for cap in (1, dom.size):
-                for leaf_limit in (1, 16, C.LEAF_ENUM_LIMIT, dom.size):
-                    census = C.bnb_census(reducer, dom, cap=cap, leaf_limit=leaf_limit)
+                for leaf_limit in leaf_limits + (dom.size,):
+                    monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
+                    census = C.bnb_census(reducer, dom, cap=cap)
                     assert sum(census.node_outcomes) == census.nodes
                     assert census.to_json()["node_outcomes"] == census.node_outcomes._asdict()
                     seen = C.NodeOutcomes(*(max(a, b) for a, b in zip(seen, census.node_outcomes)))
         # The constant reducer is decided at the root; every outcome occurs.
+        monkeypatch.undo()
         assert C.bnb_census(constant, C.SecretDomain((0,) * 3, (1,) * 3), cap=5).node_outcomes == (1, 0, 0, 0)
         assert min(seen) > 0
 
@@ -617,9 +643,10 @@ class TestCensusJson:
         again = C.ClassCensus.from_json(census.to_json())
         assert again == census
 
-    def test_node_outcomes_round_trip(self, and_gate_reducer):
+    def test_node_outcomes_round_trip(self, and_gate_reducer, monkeypatch):
         dom = C.SecretDomain(los=(0, 0), his=(1, 1))
-        census = C.bnb_census(and_gate_reducer, dom, cap=2, leaf_limit=1)
+        monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", 1)
+        census = C.bnb_census(and_gate_reducer, dom, cap=2)
         again = C.ClassCensus.from_json(census.to_json())
         assert again.node_outcomes == census.node_outcomes and again.nodes == census.nodes
         assert again.to_json() == census.to_json()

@@ -91,7 +91,7 @@ class TestLoadCsv:
     def test_missing_time_column(self, tmp_path):
         f = tmp_path / "t.csv"
         write_lines(f, ["s_0,p_0", "0,1"])
-        with pytest.raises(D.MissingTimeColumn):
+        with pytest.raises(D.DatasetError, match=f"^{re.escape(str(f))}: final column must be 'time'$"):
             D.load_csv(f)
 
     def test_non_numeric_cell(self, tmp_path):
@@ -650,6 +650,19 @@ class TestSplit:
         assert tr.n_rows + te.n_rows == ds.n_rows
         assert got == rows
 
+    def test_train_valid_test_parts(self):
+        # The test part comes off first with the seed, the validation part
+        # off the rest with the same fraction and seed + 1; the three parts
+        # hold every row once.
+        ds = D.gen_rn_preset("R_2", rows=57, noise_std=0.02, seed=1)
+        train, valid, test = D.split_train_valid_test(ds, 0.2, seed=3)
+        trainval, test2 = D.split(ds, 0.2, seed=3)
+        train2, valid2 = D.split(trainval, 0.2, seed=4)
+        assert train == train2 and valid == valid2 and test == test2
+        assert (train.n_rows, valid.n_rows, test.n_rows) == (37, 9, 11)
+        assert len(np.unique(ds.t)) == ds.n_rows
+        assert np.array_equal(np.sort(np.concatenate([train.t, valid.t, test.t])), np.sort(ds.t))
+
     def test_seed_changes_membership(self):
         ds = D.gen_rn_preset("R_2", rows=100, noise_std=0.02, seed=1)
         _, te7 = D.split(ds, 0.1, seed=7)
@@ -664,7 +677,7 @@ class TestSplit:
 
     def test_too_small(self):
         ds = D.gen_rn_preset("R_2", rows=1, noise_std=0.0, seed=0)
-        with pytest.raises(D.DatasetTooSmall):
+        with pytest.raises(D.DatasetError, match=r"^cannot split 1 rows with test fraction 0\.5$"):
             D.split(ds, 0.5, seed=0)
 
     def test_bad_fraction(self):
@@ -744,7 +757,7 @@ class TestGenRn:
         assert np.all(ds.t == D.GEN_BASE_TIME)
 
     def test_empty_clause_list(self):
-        with pytest.raises(D.EmptyClauseList):
+        with pytest.raises(D.DatasetError, match="^clause list is empty$"):
             D.gen_rn(2, (), 4, rows=10, noise_std=0.0, seed=0)
 
     def test_duplicate_coefficients_rejected(self):
@@ -777,7 +790,7 @@ class TestGenBl:
         assert ds.t == pytest.approx(expected, rel=1e-12)
 
     def test_too_few_secret_bits(self):
-        with pytest.raises(D.TooFewSecretBits):
+        with pytest.raises(D.DatasetError, match="^2 secret bits cannot index 8 behaviors$"):
             D.gen_bl(2, 2, D.IntRange(1, 16), rows=10, noise_std=0.0, seed=0)
 
 
