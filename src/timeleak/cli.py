@@ -291,8 +291,7 @@ def cmd_analyze(args) -> int:
 
     net = network.load(args.model)
     reducer = counter.extract_reducer(net)
-    dom = counter.SecretDomain.from_schema(net.schema)
-    census = counter.bnb_census(reducer, dom, cap=args.cap, budget=args.budget)
+    census = counter.bnb_census(reducer, cap=args.cap, budget=args.budget)
     manifest.stage_done("count")
 
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Binary, Domain, FeatureSchema
+from .dataset import Binary, Domain
 from .jsonio import FieldError, get
 from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch
 
@@ -74,35 +74,6 @@ class CounterError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SecretDomain:
-    """Finite per-feature integer ranges: the box [los, his] of raw secrets."""
-
-    los: tuple[int, ...]
-    his: tuple[int, ...]
-
-    @classmethod
-    def from_schema(cls, schema: FeatureSchema) -> "SecretDomain":
-        if schema.n_secret == 0:
-            raise CounterError("schema has no secret features")
-        los, his = [], []
-        for _, dom in schema.secret_features:
-            los.append(dom.lo)
-            his.append(dom.hi)
-        return cls(tuple(los), tuple(his))
-
-    @property
-    def n_features(self) -> int:
-        return len(self.los)
-
-    @property
-    def size(self) -> int:
-        total = 1
-        for lo, hi in zip(self.los, self.his):
-            total *= hi - lo + 1
-        return total
-
-
 @dataclass(frozen=True, eq=False)
 class ReducerNet:
     """Secret branch + interface layer + the exact raw-to-normalized input maps."""
@@ -119,8 +90,13 @@ class ReducerNet:
         return self.iface_w.shape[0]
 
     @property
-    def n_features(self) -> int:
-        return self.input_shift.shape[0]
+    def box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Corners (los, his) of the secret domain, the box a census counts."""
+        return tuple(d.lo for d in self.domains), tuple(d.hi for d in self.domains)
+
+    @property
+    def domain_size(self) -> int:
+        return math.prod(d.size for d in self.domains)
 
     @property
     def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -255,10 +231,6 @@ class ClassCensus:
     def __post_init__(self):
         if len(self.counts) != 2**self.k:
             raise CounterError("census must cover every interface valuation")
-
-    @property
-    def cap_hits(self) -> tuple[bool, ...]:
-        return tuple(c == self.cap for c in self.counts)
 
     def status(self, v: int) -> str:
         if self.counts[v] == 0:
@@ -412,24 +384,13 @@ def _tally(reducer: ReducerNet, los, his, bufs: EvalBuffers | None = None) -> np
     return tally
 
 
-def _check_domain(reducer: ReducerNet, dom: SecretDomain) -> None:
-    """A census searches a non-empty box inside the reducer's domains: its
-    tie tolerance bounds the terms of a pre-activation only there."""
-    if dom.n_features != reducer.n_features:
-        raise CounterError("domain does not match reducer input width")
-    for j, (lo, hi, d) in enumerate(zip(dom.los, dom.his, reducer.domains)):
-        if not d.lo <= lo <= hi <= d.hi:
-            raise CounterError(f"secret feature {j}'s range [{lo}, {hi}] is no range inside the reducer's domain [{d.lo}, {d.hi}]")
-
-
-def brute_force_census(reducer: ReducerNet, dom: SecretDomain, cap: int | None = None) -> ClassCensus:
+def brute_force_census(reducer: ReducerNet, cap: int | None = None) -> ClassCensus:
     """Evaluate the reducer on every domain element and tally exactly; the
     counts are capped like the branch-and-bound census."""
-    total = dom.size
+    total = reducer.domain_size
     if total > BRUTE_FORCE_LIMIT:
         raise CounterError(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
-    _check_domain(reducer, dom)
-    census = census_from_sizes(_tally(reducer, dom.los, dom.his), cap, reducer.k)
+    census = census_from_sizes(_tally(reducer, *reducer.box), cap, reducer.k)
     return replace(census, nodes=total)
 
 
@@ -484,21 +445,17 @@ def _children(los: np.ndarray, his: np.ndarray, binary: np.ndarray) -> tuple[np.
     return np.stack([los, right_los], axis=1).reshape(-1, d), np.stack([left_his, his], axis=1).reshape(-1, d)
 
 
-def bnb_census(
-    reducer: ReducerNet,
-    dom: SecretDomain,
-    cap: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> ClassCensus:
+def bnb_census(reducer: ReducerNet, cap: int, budget: int = DEFAULT_NODE_BUDGET) -> ClassCensus:
     """Branch-and-bound census, exact wherever brute force is applicable.
 
-    Search over sub-boxes of the domain, depth-first at the granularity of
-    blocks of up to `FRONTIER_BLOCK` boxes, and never more than the boxes
-    resolved so far, each block bounded by one interval propagation. When
-    the cap is at least the domain size, no class reaches it while a box is
-    open, so nothing is pruned and every box has the same outcome in any
-    order: such a search takes blocks of up to `UNCAPPED_BLOCK_FACTOR` times
-    `FRONTIER_BLOCK` boxes with no ramp, and visits the same nodes.
+    Search over sub-boxes of the reducer's domain, depth-first at the
+    granularity of blocks of up to `FRONTIER_BLOCK` boxes, and never more
+    than the boxes resolved so far, each block bounded by one interval
+    propagation. When the cap is at least the domain size, no class reaches
+    it while a box is open, so nothing is pruned and every box has the same
+    outcome in any order: such a search takes blocks of up to
+    `UNCAPPED_BLOCK_FACTOR` times `FRONTIER_BLOCK` boxes with no ramp, and
+    visits the same nodes.
     Interval bounds fix an interface bit over a box where they clear the
     reducer's tie tolerance (see `TIE_RTOL`); fully determined boxes
     are counted in closed form, boxes that can only feed already-capped
@@ -512,10 +469,10 @@ def bnb_census(
         raise CounterError("cap must be >= 1")
     if budget < 1:
         raise CounterError("budget must be >= 1")
-    _check_domain(reducer, dom)
     # No count exceeds the domain size, so counts saturate at the cap or just
     # above the domain size, whichever is lower.
-    saturation = min(cap, dom.size + 1)
+    size = reducer.domain_size
+    saturation = min(cap, size + 1)
     if saturation > EXACT_COUNT_LIMIT:
         raise CounterError("cap and domain size both exceed 2^53: counts would not be exact")
     k = reducer.k
@@ -537,7 +494,7 @@ def bnb_census(
         np.minimum(counts + amounts, saturation, out=counts)
         capped[:] = counts >= cap
 
-    stack = [(np.asarray([dom.los], dtype=np.int64), np.asarray([dom.his], dtype=np.int64))]
+    stack = [tuple(np.asarray([corner], dtype=np.int64) for corner in reducer.box)]
     nodes = 0
     complete = True
     while stack:
@@ -547,7 +504,7 @@ def bnb_census(
         # A capped block holds no more boxes than the search has resolved so
         # far: it dives to its first resolved boxes before it widens, so the
         # classes they cap can prune the boxes it has not split yet.
-        if cap >= dom.size:
+        if cap >= size:
             take = min(UNCAPPED_BLOCK_FACTOR * FRONTIER_BLOCK, budget - nodes)
         else:
             take = min(FRONTIER_BLOCK, max(1, nodes - outcomes[3]), budget - nodes)

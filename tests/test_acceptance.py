@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the heavier criteria (4 and 6) share one pipeline runner so the
 determinism check replays the identical commands in a fresh directory.
+Criteria 4-7 train models and are marked `slow`: `pytest -m "not slow"`
+leaves them out.
 """
 
 import json
@@ -128,10 +130,9 @@ def test_criterion_2_counting_oracle_equivalence():
             hidden = tuple(int(rng.integers(2, 17)) for _ in range(depth))
             net = random_reducer_net(rng, n_secret=n, k=k, hidden=hidden)
             reducer = C.extract_reducer(net)
-            dom = C.SecretDomain(los=(0,) * n, his=(1,) * n)
-            for cap in (1, 5, dom.size):
-                bnb = C.bnb_census(reducer, dom, cap=cap)
-                brute = C.brute_force_census(reducer, dom, cap=cap)
+            for cap in (1, 5, 2**n):
+                bnb = C.bnb_census(reducer, cap=cap)
+                brute = C.brute_force_census(reducer, cap=cap)
                 assert bnb == brute, f"trial {trial}: n={n} k={k} cap={cap}"
         elapsed = time.monotonic() - t0
         assert elapsed < 120, f"took {elapsed:.1f}s"
@@ -193,6 +194,7 @@ def test_criterion_3_gradient_correctness():
                     assert fd == pytest.approx(flat_g[i], rel=1e-4, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_criterion_4_micro_benchmark_end_to_end(preset_pipelines):
     with criterion(4, "micro-benchmark end-to-end"):
         t0 = time.monotonic()
@@ -210,6 +212,7 @@ def test_criterion_4_micro_benchmark_end_to_end(preset_pipelines):
         assert time.monotonic() - t0 < 900
 
 
+@pytest.mark.slow
 def test_criterion_5_noninterference_negative_control(tmp_path):
     with criterion(5, "noninterference negative control"):
         t0 = time.monotonic()
@@ -237,6 +240,7 @@ def test_criterion_5_noninterference_negative_control(tmp_path):
         assert time.monotonic() - t0 < 300
 
 
+@pytest.mark.slow
 def test_criterion_6_determinism(preset_pipelines, tmp_path_factory):
     with criterion(6, "byte-identical artifacts on re-run"):
         root = tmp_path_factory.mktemp("accept_run2")
@@ -246,6 +250,7 @@ def test_criterion_6_determinism(preset_pipelines, tmp_path_factory):
                 assert rerun["bytes"][artifact] == blob, f"{name}: {artifact} differs"
 
 
+@pytest.mark.slow
 def test_criterion_7_scale_probe(tmp_path):
     with criterion(7, "branch-loop scale probe"):
         csv = tmp_path / "bl3.csv"

@@ -52,9 +52,8 @@ def test_int_range_secret_end_to_end():
     assert N.r2(net, test) >= 0.95
 
     reducer = C.extract_reducer(net)
-    dom = C.SecretDomain.from_schema(ds.schema)
-    census = C.bnb_census(reducer, dom, cap=dom.size)
-    assert census == C.brute_force_census(reducer, dom, cap=dom.size)
+    census = C.bnb_census(reducer, cap=reducer.domain_size)
+    assert census == C.brute_force_census(reducer, cap=reducer.domain_size)
     assert census.total_counted == DOMAIN_HI + 1
 
     # The learned partition must recover the three bands' conditional entropy.
@@ -72,9 +71,8 @@ def test_int_range_cap_census_matches_oracle():
     arch = N.Architecture(n_secret=1, n_public=1, k=2, secret_widths=(6,), public_widths=(4,), joint_widths=(8,))
     net, _ = N.train(train, valid, arch, N.TrainConfig(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=30, seed=0))
     reducer = C.extract_reducer(net)
-    dom = C.SecretDomain.from_schema(ds.schema)
     for cap in (1, 100):
-        assert C.bnb_census(reducer, dom, cap=cap) == C.brute_force_census(reducer, dom, cap=cap)
+        assert C.bnb_census(reducer, cap=cap) == C.brute_force_census(reducer, cap=cap)
 
 
 def test_int_range_model_save_load_analyze(tmp_path):
@@ -87,9 +85,9 @@ def test_int_range_model_save_load_analyze(tmp_path):
     N.save(net, tmp_path / "model.json")
     loaded = N.load(tmp_path / "model.json")
     assert loaded.schema == ds.schema and np.array_equal(loaded.flat, net.flat)
-    dom = C.SecretDomain.from_schema(ds.schema)
+    size = DOMAIN_HI + 1
     out = tmp_path / "census.json"
-    assert main(["analyze", "--model", str(tmp_path / "model.json"), "--cap", str(dom.size), "--out", str(out)]) == 0
+    assert main(["analyze", "--model", str(tmp_path / "model.json"), "--cap", str(size), "--out", str(out)]) == 0
     census = C.ClassCensus.from_json(json.loads(out.read_text()))
-    assert census.total_counted == dom.size == DOMAIN_HI + 1
-    assert census == C.bnb_census(C.extract_reducer(net), dom, cap=dom.size)
+    assert census.total_counted == size
+    assert census == C.bnb_census(C.extract_reducer(net), cap=size)
