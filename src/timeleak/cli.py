@@ -12,6 +12,7 @@ Each command imports the pipeline modules it runs, and no others.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -164,13 +165,12 @@ def cmd_gen(args) -> int:
     manifest = Manifest("gen", vars(args))
     out = Path(args.out)
 
-    ground_truth = None
     if args.family == "rn":
         if not args.preset:
             raise CliError("--preset is required for the rn family")
         ds = dataset.gen_rn_preset(args.preset, args.rows, args.noise_std, args.seed)
         ground_truth = dataset.rn_preset(args.preset).ground_truth_sizes()
-    elif args.family == "bl":
+    else:
         i = args.variants
         secret_bits = args.secret_bits if args.secret_bits is not None else 8 + i
         ds = dataset.gen_bl(
@@ -182,17 +182,14 @@ def cmd_gen(args) -> int:
             args.seed,
         )
         ground_truth = dataset.bl_ground_truth(i, secret_bits)
-    else:
-        ds = dataset.gen_sort_demo(args.max_len, args.rows, args.seed)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     dataset.write_csv(ds, out)
     manifest.add_output(out)
     write_json(Path(str(out) + ".schema.json"), dataset.schema_to_json(ds.schema))
     manifest.add_output(str(out) + ".schema.json")
-    if ground_truth is not None:
-        write_json(Path(str(out) + ".groundtruth.json"), ground_truth)
-        manifest.add_output(str(out) + ".groundtruth.json")
+    write_json(Path(str(out) + ".groundtruth.json"), ground_truth)
+    manifest.add_output(str(out) + ".groundtruth.json")
     manifest.stage_done("generate")
     manifest.write(Path(str(out) + ".manifest.json"))
     print(f"wrote {ds.n_rows} rows to {out}")
@@ -203,6 +200,8 @@ def cmd_sweep(args) -> int:
     from . import network, sweep
     from .svgplot import sse_plot
 
+    if args.epsilon is not None and not 0 <= args.epsilon < math.inf:
+        raise CliError("epsilon must be finite and non-negative")
     if args.tau is None:
         args.tau = sweep.DEFAULT_TAU
     manifest = Manifest("sweep", vars(args))
@@ -353,13 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic trace CSV")
-    p.add_argument("--family", choices=("rn", "bl", "sort"), required=True)
+    p.add_argument("--family", choices=("rn", "bl"), required=True)
     p.add_argument("--preset", help="rn preset name (R_2..R_7)")
     p.add_argument("--i", dest="variants", type=int, default=1, help="bl: variants per complexity")
     p.add_argument("--secret-bits", type=int, default=None, help="bl: secret width (default 8+i)")
     p.add_argument("--public-lo", type=int, default=1)
     p.add_argument("--public-hi", type=int, default=128)
-    p.add_argument("--max-len", type=int, default=20000, help="sort: largest array length")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--noise-std", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=0)

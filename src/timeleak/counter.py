@@ -3,10 +3,9 @@
 The secret branch of a trained model, composed with the recorded secret
 feature maps, is a total function from the raw secret domain to k bits. This
 module extracts it and tallies, for every valuation, how many domain elements
-map there: by exhaustive evaluation (the oracle) or by branch-and-bound with
-interval bound propagation (the scalable path), which works on a block of
-boxes per numpy call. Both share cap semantics and one enumeration kernel: a
-class's count freezes at the cap once reached.
+map there, by branch-and-bound with interval bound propagation, which works
+on a block of boxes per numpy call and enumerates the boxes it cannot decide
+with one kernel, `_tally`. A class's count freezes at the cap once reached.
 
 Counts are those of exact arithmetic: a point's valuation is the sign
 pattern of its interface pre-activations computed in rationals from the
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,6 @@ from .dataset import Binary, Domain
 from .jsonio import FieldError, get
 from .network import TriBranchNetwork, interface_bits, predict_batch, secret_branch
 
-BRUTE_FORCE_LIMIT = 2**20
 DEFAULT_NODE_BUDGET = 10**8
 
 # A float interface pre-activation of the counter lies within TIE_RTOL times
@@ -295,19 +293,6 @@ class ClassCensus:
             raise CounterError(f"census {exc}") from None
 
 
-def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> ClassCensus:
-    """Build a census for known class sizes, each count capped at `cap`."""
-    sizes = [int(s) for s in sizes]
-    if not sizes:
-        raise CounterError("need at least one class size")
-    if k is None:
-        k = max(1, math.ceil(math.log2(len(sizes))))
-    if len(sizes) > 2**k:
-        raise CounterError(f"{len(sizes)} classes do not fit in {k} bits")
-    counts = [s if cap is None else min(s, cap) for s in sizes]
-    return ClassCensus(k=k, cap=cap, counts=tuple(counts + [0] * (2**k - len(counts))))
-
-
 def _offsets(shape: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Offsets of the points with these mixed-radix indices in a box of this
     shape, last feature fastest, as an (len(index), d) matrix."""
@@ -384,16 +369,6 @@ def _tally(reducer: ReducerNet, los, his, bufs: EvalBuffers | None = None) -> np
     return tally
 
 
-def brute_force_census(reducer: ReducerNet, cap: int | None = None) -> ClassCensus:
-    """Evaluate the reducer on every domain element and tally exactly; the
-    counts are capped like the branch-and-bound census."""
-    total = reducer.domain_size
-    if total > BRUTE_FORCE_LIMIT:
-        raise CounterError(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
-    census = census_from_sizes(_tally(reducer, *reducer.box), cap, reducer.k)
-    return replace(census, nodes=total)
-
-
 # ---------------------------------------------------------------------------
 # Interval bound propagation and branch-and-bound
 # ---------------------------------------------------------------------------
@@ -446,7 +421,7 @@ def _children(los: np.ndarray, his: np.ndarray, binary: np.ndarray) -> tuple[np.
 
 
 def bnb_census(reducer: ReducerNet, cap: int, budget: int = DEFAULT_NODE_BUDGET) -> ClassCensus:
-    """Branch-and-bound census, exact wherever brute force is applicable.
+    """Branch-and-bound census of the reducer's domain, exact below the cap.
 
     Search over sub-boxes of the reducer's domain, depth-first at the
     granularity of blocks of up to `FRONTIER_BLOCK` boxes, and never more

@@ -828,50 +828,3 @@ def bl_ground_truth(variants_per_complexity: int, n_secret_bits: int) -> list[in
         counts[b] += 1
     return sorted(counts, reverse=True)
 
-
-# ---------------------------------------------------------------------------
-# Generator: sorting-application regression demo (no secret features)
-# ---------------------------------------------------------------------------
-
-SORT_ALGORITHMS = ("bubble", "selection", "insertion", "quick", "merge", "bucket")
-
-_SORT_NOISE_STD = 0.02
-
-
-def sort_cost(algorithm: str, length: int) -> float:
-    """Average-case comparison cost of one sorting algorithm on one input length."""
-    n = float(length)
-    logn = math.log2(n) if n > 1 else 0.0
-    costs = {
-        "bubble": 0.75 * n * n,
-        "selection": 0.5 * n * n,
-        "insertion": 0.25 * n * n,
-        "quick": 1.39 * n * logn,
-        "merge": n * logn,
-        "bucket": 2.0 * n,
-    }
-    try:
-        return costs[algorithm]
-    except KeyError:
-        raise DatasetError(f"unknown sorting algorithm {algorithm!r}") from None
-
-
-def gen_sort_demo(max_len: int, rows: int, seed: int) -> TraceDataset:
-    """Regression-only demo: one-hot algorithm selector + array length -> cost."""
-    if max_len < 100:
-        raise DatasetError("max_len must be at least 100")
-    rng = np.random.default_rng(seed)
-    alg_idx = rng.integers(0, len(SORT_ALGORITHMS), size=rows)
-    lengths = rng.integers(100, max_len + 1, size=rows)
-    t = np.array([sort_cost(SORT_ALGORITHMS[a], n) for a, n in zip(alg_idx, lengths)])
-    t = np.maximum(t * (1.0 + _SORT_NOISE_STD * rng.standard_normal(rows)), 0.0)
-
-    onehot = np.zeros((rows, len(SORT_ALGORITHMS)))
-    onehot[np.arange(rows), alg_idx] = 1.0
-    y = np.hstack([onehot, lengths[:, None].astype(np.float64)])
-    schema = FeatureSchema(
-        (),
-        tuple(f"p_alg_{a}" for a in SORT_ALGORITHMS) + ("p_len",),
-        "cost-units",
-    )
-    return TraceDataset(schema, np.zeros((rows, 0)), y, t)

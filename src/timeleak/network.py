@@ -97,12 +97,13 @@ class TrainConfig:
     ste_clip: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise NetworkError("learning_rate must be positive")
+        # NaN fails these range checks: every comparison with NaN is false.
+        if not 0 < self.learning_rate < math.inf:
+            raise NetworkError("learning_rate must be finite and positive")
         if self.patience < 1:
             raise NetworkError("patience must be >= 1")
-        if self.ste_clip <= 0:
-            raise NetworkError("ste_clip must be positive")
+        if not 0 < self.ste_clip < math.inf:
+            raise NetworkError("ste_clip must be finite and positive")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise NetworkError("batch_size and max_epochs must be >= 1")
         if self.seed < 0:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,32 @@ def conditional_entropy_of_sizes(sizes) -> float:
     """Independent oracle: expected bits left in a uniform secret given its class."""
     total = sum(sizes)
     return sum(b * math.log2(b) for b in sizes) / total
+
+
+BRUTE_FORCE_LIMIT = 2**20
+
+
+def census_from_sizes(sizes, cap: int | None = None, k: int | None = None) -> C.ClassCensus:
+    """Build a census for known class sizes, each count capped at `cap`."""
+    sizes = [int(s) for s in sizes]
+    if not sizes:
+        raise C.CounterError("need at least one class size")
+    if k is None:
+        k = max(1, math.ceil(math.log2(len(sizes))))
+    if len(sizes) > 2**k:
+        raise C.CounterError(f"{len(sizes)} classes do not fit in {k} bits")
+    counts = [s if cap is None else min(s, cap) for s in sizes]
+    return C.ClassCensus(k=k, cap=cap, counts=tuple(counts + [0] * (2**k - len(counts))))
+
+
+def brute_force_census(reducer: C.ReducerNet, cap: int | None = None) -> C.ClassCensus:
+    """The counting oracle: evaluate the reducer on every domain element and
+    tally exactly; the counts are capped like the branch-and-bound census."""
+    total = reducer.domain_size
+    if total > BRUTE_FORCE_LIMIT:
+        raise C.CounterError(f"domain size {total} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
+    census = census_from_sizes(C._tally(reducer, *reducer.box), cap, reducer.k)
+    return replace(census, nodes=total)
 
 
 def binary_schema(n: int) -> D.FeatureSchema:

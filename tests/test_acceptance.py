@@ -22,7 +22,7 @@ from timeleak import network as N
 from timeleak import quantifier as Q
 from timeleak.cli import main
 
-from conftest import conditional_entropy_of_sizes, random_reducer_net
+from conftest import brute_force_census, census_from_sizes, conditional_entropy_of_sizes, random_reducer_net
 
 # Desk-scale settings for the clause-loop presets: reference row counts and
 # branch widths, fixed base seed, tau = 0.05, best-of-3 seeds.
@@ -96,23 +96,23 @@ def preset_pipelines(tmp_path_factory):
 def test_criterion_1_entropy_arithmetic():
     with criterion(1, "entropy arithmetic"):
         t0 = time.monotonic()
-        five = C.census_from_sizes([68, 16, 27, 1, 16])
+        five = census_from_sizes([68, 16, 27, 1, 16])
         assert Q.remaining_entropy(five) == pytest.approx(5.24, abs=0.01)
         assert Q.shannon_leak(five) == pytest.approx(1.76, abs=0.01)
 
-        pw = C.census_from_sizes([48, 6760, 4309, 5269])
+        pw = census_from_sizes([48, 6760, 4309, 5269])
         assert Q.remaining_entropy(pw) == pytest.approx(12.41, abs=0.01)
 
-        keyed = C.census_from_sizes([10_000] * 26, cap=10_000)
+        keyed = census_from_sizes([10_000] * 26, cap=10_000)
         assert Q.initial_entropy(keyed) == pytest.approx(17.99, abs=0.01)
         assert Q.remaining_entropy(keyed) == pytest.approx(13.29, abs=0.01)
         assert Q.shannon_leak(keyed) == pytest.approx(4.71, abs=0.01)
 
-        profiles = C.census_from_sizes([60] * 8, cap=60)
+        profiles = census_from_sizes([60] * 8, cap=60)
         assert Q.initial_entropy(profiles) == pytest.approx(8.91, abs=0.01)
         assert Q.shannon_leak(profiles) == pytest.approx(3.00, abs=0.01)
 
-        records = C.census_from_sizes([3] * 60, cap=3)
+        records = census_from_sizes([3] * 60, cap=3)
         assert Q.initial_entropy(records) == pytest.approx(7.49, abs=0.01)
         assert Q.remaining_entropy(records) == pytest.approx(1.58, abs=0.01)
 
@@ -132,7 +132,7 @@ def test_criterion_2_counting_oracle_equivalence():
             reducer = C.extract_reducer(net)
             for cap in (1, 5, 2**n):
                 bnb = C.bnb_census(reducer, cap=cap)
-                brute = C.brute_force_census(reducer, cap=cap)
+                brute = brute_force_census(reducer, cap=cap)
                 assert bnb == brute, f"trial {trial}: n={n} k={k} cap={cap}"
         elapsed = time.monotonic() - t0
         assert elapsed < 120, f"took {elapsed:.1f}s"

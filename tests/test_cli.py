@@ -57,12 +57,6 @@ class TestGen:
         assert ds.n_rows == 1512 and ds.schema.n_secret == 10  # 8 + i secret bits
         assert json.loads(Path(str(out) + ".groundtruth.json").read_text()) == [128] * 8
 
-    def test_sort_demo(self, tmp_path):
-        out = tmp_path / "sort.csv"
-        rc = main(["gen", "--family", "sort", "--rows", "500", "--max-len", "2000", "--out", str(out)])
-        assert rc == 0
-        assert D.load_csv(out).schema.n_secret == 0
-
     def test_rn_without_preset_fails(self, tmp_path, capsys):
         rc = main(["gen", "--family", "rn", "--rows", "10", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -334,23 +328,26 @@ class TestErrorPaths:
             ("", [], "{data}: empty file"),
             ("s_0,x_0,time\n0,1,1.0\n1,2,2.0\n", [], "{data}: column 'x_0' lacks an s_/p_ prefix"),
             ("s_0,p_0,time\n0,1,1.0\n1,2,2.0\n", [], "sidecar secret features ['s_9'] do not match columns"),
-            ("r2", ["--lr", "0"], "learning_rate must be positive"),
+            ("r2", ["--lr", "0"], "learning_rate must be finite and positive"),
+            ("r2", ["--lr", "nan"], "learning_rate must be finite and positive"),
             ("r2", ["--patience", "0"], "patience must be >= 1"),
-            ("r2", ["--ste-clip", "0"], "ste_clip must be positive"),
+            ("r2", ["--ste-clip", "0"], "ste_clip must be finite and positive"),
+            ("r2", ["--ste-clip", "inf"], "ste_clip must be finite and positive"),
             ("r2", ["--batch-size", "0"], "batch_size and max_epochs must be >= 1"),
             ("r2", ["--max-epochs", "0"], "batch_size and max_epochs must be >= 1"),
             ("r2", ["--seed", "-1"], "seed must be non-negative"),
-            ("sort", [], "cannot build the network of width k=1: a k >= 1 interface needs secret features"),
+            ("r2", ["--epsilon", "nan"], "epsilon must be finite and non-negative"),
+            ("r2", ["--epsilon", "-1"], "epsilon must be finite and non-negative"),
+            ("p_0,time\n1,1.0\n2,2.0\n", [], "cannot build the network of width k=1: a k >= 1 interface needs secret features"),
         ],
-        ids=["empty-file", "unprefixed-column", "sidecar-names", "lr-0", "patience-0", "ste-clip-0", "batch-size-0",
-             "max-epochs-0", "negative-seed", "no-secret-features"],
+        ids=["empty-file", "unprefixed-column", "sidecar-names", "lr-0", "lr-nan", "patience-0", "ste-clip-0",
+             "ste-clip-inf", "batch-size-0", "max-epochs-0", "negative-seed", "epsilon-nan", "epsilon-negative",
+             "no-secret-features"],
     )
     def test_refused_sweep_exits_3(self, tmp_path, capsys, trace, flags, message):
         data, out = tmp_path / "traces.csv", tmp_path / "out"
         if trace == "r2":
             gen_r2(tmp_path, rows=60)
-        elif trace == "sort":
-            assert main(["gen", "--family", "sort", "--rows", "40", "--max-len", "200", "--out", str(data)]) == 0
         else:
             data.write_text(trace)
         if "sidecar" in message:
@@ -367,11 +364,10 @@ class TestErrorPaths:
         [
             (["--family", "bl", "--public-lo", "0"], "public range must start at 1 or above (log of the input)"),
             (["--family", "rn", "--preset", "R_9"], "unknown preset 'R_9'; choose from ['R_2', 'R_3', 'R_4', 'R_5', 'R_6', 'R_7']"),
-            (["--family", "sort", "--max-len", "50"], "max_len must be at least 100"),
             (["--family", "bl", "--i", "0"], "need at least one variant per complexity"),
             (["--family", "rn"], "--preset is required for the rn family"),
         ],
-        ids=["bl-public-lo-0", "unknown-preset", "sort-max-len-50", "bl-i-0", "rn-without-preset"],
+        ids=["bl-public-lo-0", "unknown-preset", "bl-i-0", "rn-without-preset"],
     )
     def test_refused_gen_exits_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"

@@ -12,7 +12,14 @@ from timeleak import dataset as D
 from timeleak import network as N
 from timeleak import quantifier as Q
 
-from conftest import binary_schema, flip_one_self_check_bit, identity_normalizer, random_reducer_net
+from conftest import (
+    binary_schema,
+    brute_force_census,
+    census_from_sizes,
+    flip_one_self_check_bit,
+    identity_normalizer,
+    random_reducer_net,
+)
 
 
 def hand_reducer(weights, bias, domains, hidden=()):
@@ -292,8 +299,8 @@ class TestNearTies:
 
     def check(self, reducer, monkeypatch):
         size = reducer.domain_size
-        oracle = C.census_from_sizes(exact_counts(reducer, box_points(*reducer.box)), size, reducer.k)
-        assert C.brute_force_census(reducer, cap=size) == oracle
+        oracle = census_from_sizes(exact_counts(reducer, box_points(*reducer.box)), size, reducer.k)
+        assert brute_force_census(reducer, cap=size) == oracle
         for leaf_limit in (1, 16, 256, size):
             monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
             assert C.bnb_census(reducer, cap=size) == oracle
@@ -346,26 +353,26 @@ class TestNearTies:
 
 class TestBruteForce:
     def test_hand_reducer_census(self, and_gate_reducer):
-        census = C.brute_force_census(and_gate_reducer)
+        census = brute_force_census(and_gate_reducer)
         assert census.counts == (3, 1)  # valuation 0 -> 3 secrets, valuation 1 -> 1
         assert census.status(0) == "counted" and census.status(1) == "counted"
 
     def test_constant_bias_reducer_single_class(self):
         reducer = hand_reducer([[0.0, 0.0, 0.0]], [-1.0], (D.Binary(),) * 3)
-        census = C.brute_force_census(reducer)
+        census = brute_force_census(reducer)
         assert census.counts == (8, 0)
         assert census.feasible_count == 1
 
     def test_cap_semantics(self, and_gate_reducer):
-        census = C.brute_force_census(and_gate_reducer, cap=2)
+        census = brute_force_census(and_gate_reducer, cap=2)
         assert census.counts == (2, 1)
         assert [census.status(v) for v in range(2)] == ["cap_hit", "counted"]
-        assert C.brute_force_census(and_gate_reducer).counts == (3, 1)
+        assert brute_force_census(and_gate_reducer).counts == (3, 1)
 
     def test_domain_guard(self):
         reducer = hand_reducer([[1.0]], [0.0], (D.IntRange(0, 2**21),))
         with pytest.raises(C.CounterError, match="^domain size 2097153 exceeds brute-force guard 1048576$"):
-            C.brute_force_census(reducer)
+            brute_force_census(reducer)
 
 
 class TestPropagateBounds:
@@ -407,7 +414,7 @@ class TestPropagateBounds:
 
 class TestBnb:
     def test_hand_reducer_matches_brute_force(self, and_gate_reducer):
-        assert C.bnb_census(and_gate_reducer, cap=10) == C.brute_force_census(and_gate_reducer, cap=10)
+        assert C.bnb_census(and_gate_reducer, cap=10) == brute_force_census(and_gate_reducer, cap=10)
 
     def test_random_reducers_oracle_equivalence(self, rng, monkeypatch):
         leaf_limits = (1, 16, C.LEAF_ENUM_LIMIT)
@@ -417,7 +424,7 @@ class TestBnb:
             net = random_reducer_net(rng, n_secret=n, k=k, hidden=(int(rng.integers(2, 9)),))
             reducer = C.extract_reducer(net)
             for cap in (1, 5, 2**n):
-                oracle = C.brute_force_census(reducer, cap=cap)
+                oracle = brute_force_census(reducer, cap=cap)
                 for leaf_limit in leaf_limits + (2**n,):
                     monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
                     assert C.bnb_census(reducer, cap=cap) == oracle
@@ -429,7 +436,7 @@ class TestBnb:
         size = reducer.domain_size
         leaf_limits = (1, 16, C.LEAF_ENUM_LIMIT, size)
         for cap in (1, 7, size):
-            oracle = C.brute_force_census(reducer, cap=cap)
+            oracle = brute_force_census(reducer, cap=cap)
             assert oracle.feasible_count > 1
             for leaf_limit in leaf_limits:
                 monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
@@ -445,7 +452,7 @@ class TestBnb:
         assert reducer.domain_size == 128_064 > C.ENUM_BLOCK
         for cap in (1, 100, reducer.domain_size):
             census = C.bnb_census(reducer, cap=cap)
-            oracle = C.brute_force_census(reducer, cap=cap)
+            oracle = brute_force_census(reducer, cap=cap)
             assert census == oracle
             assert census.nodes > 1 and oracle.feasible_count > 1
 
@@ -464,7 +471,7 @@ class TestBnb:
         lb, ub = bounds(reducer, *reducer.box)
         tol = reducer.tie_tolerance
         assert np.sum((lb < tol) & (ub >= -tol)) == 17
-        oracle = C.brute_force_census(reducer, cap=1)
+        oracle = brute_force_census(reducer, cap=1)
         assert oracle.feasible_count == 64
         monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", 4)
         for block in (C.FRONTIER_BLOCK, 3):
@@ -532,7 +539,7 @@ class TestBnb:
                 uncapped[leaf_limit] = C.bnb_census(reducer, cap=size)
             monkeypatch.setattr(C, "FRONTIER_BLOCK", block)
             for cap in (1, 5, size):
-                oracle = C.brute_force_census(reducer, cap=cap)
+                oracle = brute_force_census(reducer, cap=cap)
                 assert oracle.feasible_count > 1
                 for leaf_limit in (1, 16, size):
                     monkeypatch.setattr(C, "LEAF_ENUM_LIMIT", leaf_limit)
@@ -590,19 +597,19 @@ class TestBnb:
 
 class TestFeasibleClasses:
     def test_ordering_and_omission(self, and_gate_reducer):
-        census = C.brute_force_census(and_gate_reducer)
+        census = brute_force_census(and_gate_reducer)
         assert census.counts == (3, 1)
         assert [census.status(v) for v in range(2)] == ["counted", "counted"]
 
     def test_singleton(self):
-        census = C.census_from_sizes([7], k=2)
+        census = census_from_sizes([7], k=2)
         assert census.counts == (7, 0, 0, 0)
         assert census.feasible_count == 1 and census.status(0) == "counted"
 
 
 class TestCensusJson:
     def test_round_trip(self, and_gate_reducer):
-        census = C.brute_force_census(and_gate_reducer, cap=2)
+        census = brute_force_census(and_gate_reducer, cap=2)
         again = C.ClassCensus.from_json(census.to_json())
         assert again == census
 
@@ -613,7 +620,7 @@ class TestCensusJson:
         assert again.node_outcomes == census.node_outcomes and again.nodes == census.nodes
         assert again.to_json() == census.to_json()
         # A census without the key (the oracle's, or an older file) keeps none.
-        oracle = C.brute_force_census(and_gate_reducer, cap=2)
+        oracle = brute_force_census(and_gate_reducer, cap=2)
         assert "node_outcomes" not in oracle.to_json()
         assert C.ClassCensus.from_json(oracle.to_json()).node_outcomes is None
 
@@ -654,9 +661,9 @@ class TestCensusJson:
             C.ClassCensus.from_json(obj)
 
     def test_from_sizes_with_cap(self):
-        census = C.census_from_sizes([68, 16, 27, 1, 16], cap=100, k=3)
+        census = census_from_sizes([68, 16, 27, 1, 16], cap=100, k=3)
         assert census.feasible_count == 5
         assert census.total_counted == 128
-        census_capped = C.census_from_sizes([150, 40], cap=100, k=1)
+        census_capped = census_from_sizes([150, 40], cap=100, k=1)
         assert census_capped.counts == (100, 40)
         assert [census_capped.status(v) for v in range(2)] == ["cap_hit", "counted"]

@@ -793,20 +793,3 @@ class TestGenBl:
         with pytest.raises(D.DatasetError, match="^2 secret bits cannot index 8 behaviors$"):
             D.gen_bl(2, 2, D.IntRange(1, 16), rows=10, noise_std=0.0, seed=0)
 
-
-class TestGenSortDemo:
-    def test_bubble_cost_scales_quadratically(self):
-        assert D.sort_cost("bubble", 1000) == pytest.approx(0.75e6)
-
-    def test_merge_cost(self):
-        assert D.sort_cost("merge", 1000) == pytest.approx(1000 * math.log2(1000))
-
-    @pytest.mark.parametrize("length", [64, 100, 1000, 20000])
-    def test_bubble_slower_than_merge(self, length):
-        assert D.sort_cost("bubble", length) > D.sort_cost("merge", length)
-
-    def test_no_secret_features(self):
-        ds = D.gen_sort_demo(max_len=500, rows=30, seed=1)
-        assert ds.schema.n_secret == 0
-        assert ds.schema.n_public == 7
-        assert np.all(ds.t >= 0)

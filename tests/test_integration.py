@@ -16,6 +16,8 @@ from timeleak import network as N
 from timeleak import quantifier as Q
 from timeleak.cli import main
 
+from conftest import brute_force_census
+
 DOMAIN_HI = 2000
 BAND_EDGE = 667  # three bands: [0, 666], [667, 1333], [1334, 2000]
 
@@ -53,7 +55,7 @@ def test_int_range_secret_end_to_end():
 
     reducer = C.extract_reducer(net)
     census = C.bnb_census(reducer, cap=reducer.domain_size)
-    assert census == C.brute_force_census(reducer, cap=reducer.domain_size)
+    assert census == brute_force_census(reducer, cap=reducer.domain_size)
     assert census.total_counted == DOMAIN_HI + 1
 
     # The learned partition must recover the three bands' conditional entropy.
@@ -72,7 +74,7 @@ def test_int_range_cap_census_matches_oracle():
     net, _ = N.train(train, valid, arch, N.TrainConfig(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=30, seed=0))
     reducer = C.extract_reducer(net)
     for cap in (1, 100):
-        assert C.bnb_census(reducer, cap=cap) == C.brute_force_census(reducer, cap=cap)
+        assert C.bnb_census(reducer, cap=cap) == brute_force_census(reducer, cap=cap)
 
 
 def test_int_range_model_save_load_analyze(tmp_path):

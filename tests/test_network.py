@@ -236,13 +236,6 @@ class TestTrain:
         net, _ = N.train(tr, va, arch, quick_config(max_epochs=300, patience=120, seed=3))
         assert N.r2(net, test) >= 0.95
 
-    def test_sort_demo_fit_quality(self):
-        ds = D.gen_sort_demo(max_len=2000, rows=600, seed=2)
-        tr, va, test = self._quick_split(ds)
-        arch = N.Architecture(0, 7, 0, (), (32, 32), (16,))
-        net, _ = N.train(tr, va, arch, quick_config(max_epochs=400, patience=150, seed=1))
-        assert N.r2(net, test) >= 0.95
-
     def test_monotone_capacity(self):
         # A wider interface can always emulate a narrower one by zeroing
         # weights, so best-of-3 test SSE at k+1 stays within a 5%-of-variance
@@ -631,13 +624,21 @@ class TestLockstep:
 class TestSweepStack:
     """One stack over several k: layers grouped by shape, none padded."""
 
-    def test_every_model_equals_training_alone(self):
+    @pytest.mark.parametrize(
+        "widths",
+        [((6, 4), (5,), (10,)), ((6, 4), (), (10,)), ((), (5,), ())],
+        ids=["hidden-everywhere", "no-public-hidden", "no-secret-or-joint-hidden"],
+    )
+    def test_every_model_equals_training_alone(self, widths):
+        # Without public hidden layers the public output is a copy of the
+        # input; without joint hidden layers the first joint layer is the
+        # output layer.
         ds = D.gen_rn_preset("R_2", rows=200, noise_std=0.02, seed=4)
         tr, va = D.split(ds, 0.1, 0)
         config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=5)
         # Given out of k order; results come back in the order given.
         pairs = [(2, 31), (0, 32), (1, 33), (2, 34), (0, 35), (1, 36)]
-        archs = [N.Architecture(2, 7, k, (6, 4), (5,), (10,)) for k, _ in pairs]
+        archs = [N.Architecture(2, 7, k, *widths) for k, _ in pairs]
         stacked = N.train_stack(tr, va, archs, config, [seed for _, seed in pairs])
         epochs = {(k, seed): len(history) for (k, seed), (_, history) in zip(pairs, stacked)}
         # Members stop at different epochs, and a whole run of one k leaves
