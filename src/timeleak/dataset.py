@@ -639,6 +639,12 @@ def _all_bit_vectors(n_bits: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n_bits)) & 1).astype(np.float64)
 
 
+def _check_noise_std(noise_std: float) -> None:
+    """Refuse a noise level that is NaN, infinite or negative."""
+    if not (0.0 <= noise_std < math.inf):
+        raise DatasetError(f"noise_std must be finite and non-negative, got {noise_std}")
+
+
 def gen_rn(
     n_secret_bits: int,
     clauses: Sequence[Clause],
@@ -654,6 +660,7 @@ def gen_rn(
     base + sum of coefficients of satisfied clauses times N, perturbed by
     multiplicative Gaussian noise.
     """
+    _check_noise_std(noise_std)
     if n_secret_bits < 1:
         raise DatasetError("need at least one secret bit")
     if not clauses:
@@ -795,6 +802,7 @@ def gen_bl(
     seed: int,
 ) -> TraceDataset:
     """Synthesize traces where the secret integer selects one of 4*i loop behaviors."""
+    _check_noise_std(noise_std)
     i = variants_per_complexity
     if i < 1:
         raise DatasetError("need at least one variant per complexity")

@@ -562,9 +562,9 @@ def train(
     ds_valid: TraceDataset,
     arch: Architecture,
     config: TrainConfig,
-) -> tuple[TriBranchNetwork, list[tuple[float, float]]]:
+) -> tuple[TriBranchNetwork, list[float]]:
     """Mini-batch Adam training; early-stops on validation SSE and returns the
-    best-validation snapshot plus the per-epoch (train SSE, valid SSE) history."""
+    best-validation snapshot plus its history, the validation SSE of each epoch."""
     return train_stack(ds_train, ds_valid, [arch], config, [config.seed])[0]
 
 
@@ -574,26 +574,32 @@ def train_stack(
     archs: list[Architecture],
     config: TrainConfig,
     seeds: list[int],
-) -> list[tuple[TriBranchNetwork, list[tuple[float, float]]]]:
+) -> list[tuple[TriBranchNetwork, list[float]]]:
     """Train one model per (architecture, seed) pair in lockstep, as one
     `Stack`, and return `train`'s (model, history) for each pair, in the
     order given. The architectures may differ only in k.
 
-    Every model draws its own batch order and early-stops on its own. Models
-    leave the stack only at the end of an epoch: on patience, at the last
-    epoch, or on divergence, each with its best-validation snapshot, and
-    its `metrics` give that snapshot's epoch (`best_epoch`, from 0) and
-    SSEs. The stacked operations act on each model's slice exactly as on one
-    model's arrays, so each result is bit for bit what `train` gives that
-    pair.
-    A model whose loss or SSE turns non-finite runs on to the end of its
-    epoch, which changes no other model's bits. Then the models of the
-    smallest k that failed and of every larger k leave the stack and the
-    smaller k train on; at the end `NonFiniteLoss` is raised for the
-    smallest k that failed, with the epoch and seed at which that k failed
-    (its model that failed at the earliest step, the SSE pass counting as
-    the epoch's last step, then the first in the given order), as if each
-    k trained alone in increasing k. `config.seed` is not used.
+    Every model draws its own batch order and early-stops on its own, on
+    the one SSE pass of each epoch, over the validation rows; a model's
+    history is its validation SSE of each epoch. Models leave the stack only
+    at the end of an epoch: on patience, at the last epoch, or on
+    divergence, each with its best-validation snapshot, and its `metrics`
+    give that snapshot's epoch (`best_epoch`, from 0) and SSEs; its training
+    SSE comes from one pass over the training rows at the end. The stacked
+    operations act on each model's slice exactly as on one model's arrays,
+    so each result is bit for bit what `train` gives that pair.
+    A model whose loss or validation SSE turns non-finite runs on to the end
+    of its epoch, which changes no other model's bits. Then the models of
+    the smallest k that failed and of every larger k leave the stack and the
+    smaller k train on. At the end `NonFiniteLoss` is raised, as if each k
+    trained alone in increasing k, for the smallest k that failed, either
+    - by a non-finite training SSE of a kept snapshot: "SSE diverged" at
+      that model's best epoch, with its seed (the first such model in the
+      given order); or
+    - during training: at the epoch and with the seed at which that k failed
+      (its model that failed at the earliest step, the SSE pass counting as
+      the epoch's last step, then the first in the given order).
+    `config.seed` is not used.
     """
     if not seeds or len(archs) != len(seeds):
         raise NetworkError("need one seed per architecture, and at least one")
@@ -619,20 +625,20 @@ def train_stack(
     bs = config.batch_size
 
     # One workspace per pass shape, (rows, forward_only): the full and the
-    # last batch, and the two SSE passes. The passes run one after another,
-    # so their workspaces share one buffer, sized once for the full stack
-    # (the stack only shrinks) and re-carved when it shrinks. Each epoch's
-    # training rows sit in it after the batch workspaces: the SSE passes,
-    # which may overwrite them, run after the epoch's last step.
+    # last batch, and the validation SSE pass. The passes run one after
+    # another, so their workspaces share one buffer, sized once for the full
+    # stack (the stack only shrinks) and re-carved when it shrinks. Each
+    # epoch's training rows sit in it after the batch workspaces: the SSE
+    # pass, which may overwrite them, runs after the epoch's last step.
     steps = {(r, False) for r in (min(bs, n), (n - 1) % bs + 1)}
-    passes = steps | {(n, True), (ds_valid.n_rows, True)}
+    passes = steps | {(ds_valid.n_rows, True)}
     rows_at = max(Workspace(stack, *shape).size for shape in steps)
     train_rows = (xtr, ytr, ttr)
     sizes = [rows_at + len(nets) * sum(a.size for a in train_rows)] + [Workspace(stack, *shape).size for shape in passes]
     arena = np.empty(max(sizes))
     spaces = {shape: Workspace(stack, *shape, arena) for shape in passes}
     live = np.arange(len(nets))  # the model behind each stack row
-    histories: list[list[tuple[float, float]]] = [[] for _ in nets]
+    histories: list[list[float]] = [[] for _ in nets]
     best_valid = np.full(len(nets), np.inf)
     best_epoch = np.zeros(len(nets), dtype=np.int64)
     best = stack.flat.copy()
@@ -675,12 +681,10 @@ def train_stack(
                     failed_at[~finite & (failed_at > step)] = step
                 adam_step(stack.flat, grads, state, config)
 
-            train_sse = _sse_arrays(stack, xtr, ytr, ttr, spaces[n, True])
             valid_sse = _sse_arrays(stack, xva, yva, tva, spaces[ds_valid.n_rows, True])
-            finite = np.isfinite(train_sse) & np.isfinite(valid_sse)
-            failed_at[~finite & (failed_at > sse_step)] = sse_step
-            for i, tr_sse, va_sse in zip(live, train_sse.tolist(), valid_sse.tolist()):
-                histories[i].append((tr_sse, va_sse))
+            failed_at[~np.isfinite(valid_sse) & (failed_at > sse_step)] = sse_step
+            for i, va_sse in zip(live, valid_sse.tolist()):
+                histories[i].append(va_sse)
 
             improved = valid_sse < best_valid[live] - 1e-12
             best_valid[live[improved]] = valid_sse[improved]
@@ -700,14 +704,19 @@ def train_stack(
                 if not live.size:
                     break
 
-    if failure is not None:
-        raise failure
+    # The SSEs of each kept best-validation snapshot, in ascending k; the
+    # models of a k that failed during training are not kept.
     results: list = [None] * len(nets)
     for i, net, history, epoch in zip(order, nets, histories, best_epoch.tolist()):
-        # The SSEs of the best-validation snapshot, which is the model kept.
-        train_sse, valid_sse = history[epoch]
-        net.metrics = {"epochs": len(history), "best_epoch": epoch, "train_sse": train_sse, "valid_sse": valid_sse}
+        if failure is not None and net.k >= failure.k:
+            break
+        train_sse = float(_sse_arrays(net.stack, xtr, ytr, ttr)[0])
+        if not math.isfinite(train_sse):
+            raise NonFiniteLoss(f"SSE diverged at epoch {epoch}", epoch, net.seed, net.k)
+        net.metrics = {"epochs": len(history), "best_epoch": epoch, "train_sse": train_sse, "valid_sse": history[epoch]}
         results[i] = (net, history)
+    if failure is not None:
+        raise failure
     return results
 
 

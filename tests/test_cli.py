@@ -366,14 +366,17 @@ class TestErrorPaths:
             (["--family", "rn", "--preset", "R_9"], "unknown preset 'R_9'; choose from ['R_2', 'R_3', 'R_4', 'R_5', 'R_6', 'R_7']"),
             (["--family", "bl", "--i", "0"], "need at least one variant per complexity"),
             (["--family", "rn"], "--preset is required for the rn family"),
+            (["--family", "rn", "--preset", "R_2", "--noise-std", "nan"], "noise_std must be finite and non-negative, got nan"),
+            (["--family", "bl", "--noise-std", "inf"], "noise_std must be finite and non-negative, got inf"),
+            (["--family", "rn", "--preset", "R_2", "--noise-std", "-1"], "noise_std must be finite and non-negative, got -1.0"),
         ],
-        ids=["bl-public-lo-0", "unknown-preset", "bl-i-0", "rn-without-preset"],
+        ids=["bl-public-lo-0", "unknown-preset", "bl-i-0", "rn-without-preset", "noise-std-nan", "noise-std-inf", "noise-std-negative"],
     )
     def test_refused_gen_exits_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
         assert main(["gen", *flags, "--rows", "10", "--out", str(out / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -447,9 +447,9 @@ def reference_train(ds_train, ds_valid, arch, config):
             _, grads = reference_loss_and_gradients(net, tuple(a[idx] for a in tr), config.ste_clip)
             t += 1
             reference_adam_step(params, grads, moments, t, config)
-        history.append((sse(*tr), sse(*va)))
-        if history[-1][1] < best_valid - 1e-12:
-            best_valid, best, stall = history[-1][1], [p.copy() for p in params], 0
+        history.append(sse(*va))
+        if history[-1] < best_valid - 1e-12:
+            best_valid, best, stall = history[-1], [p.copy() for p in params], 0
         else:
             stall += 1
             if stall >= config.patience:
@@ -596,8 +596,32 @@ class TestLockstep:
         for net, history in stacked:
             metrics = net.metrics
             assert metrics["epochs"] == len(history) and metrics["best_epoch"] < len(history) - 1
-            assert history[metrics["best_epoch"]] == (metrics["train_sse"], metrics["valid_sse"])
-            assert metrics["train_sse"] == N.sse(net, tr) and metrics["valid_sse"] == N.sse(net, va)
+            assert history[metrics["best_epoch"]] == metrics["valid_sse"] == N.sse(net, va)
+            assert metrics["train_sse"] == N.sse(net, tr)
+
+    def test_one_sse_pass_per_epoch(self, monkeypatch):
+        # Early stopping reads only the validation SSE: each epoch makes one
+        # SSE pass, over the validation rows and the whole stack, and the
+        # training rows are passed over once per kept model, at the end.
+        ds = D.gen_rn_preset("R_2", rows=200, noise_std=0.02, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=60, patience=5)
+        real_sse = N._sse_arrays
+        calls = []
+
+        def counted_sse(stack, xn, yn, tn, ws=None):
+            calls.append((len(tn), len(stack.archs)))
+            return real_sse(stack, xn, yn, tn, ws)
+
+        monkeypatch.setattr(N, "_sse_arrays", counted_sse)
+        archs = [N.Architecture(2, 7, k, (5,), (5,), (10,)) for k in (0, 1, 2, 2)]
+        stacked = N.train_stack(tr, va, archs, config, [1, 2, 3, 4])
+        epochs = [len(history) for _, history in stacked]
+        assert len(set(epochs)) > 1 and tr.n_rows != va.n_rows
+        valid, final = calls[: max(epochs)], calls[max(epochs) :]
+        assert [rows for rows, _ in valid] == [va.n_rows] * max(epochs)
+        assert [models for _, models in valid] == [sum(e > epoch for e in epochs) for epoch in range(max(epochs))]
+        assert final == [(tr.n_rows, 1)] * len(archs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned model overflows
     def test_divergence_names_epoch_and_seed(self, monkeypatch):
@@ -716,6 +740,34 @@ class TestSweepStack:
         with pytest.raises(N.NonFiniteLoss, match="^SSE diverged at epoch 2$") as info:
             N.train_stack(tr, va, archs, config, [10, 11, 12, 13])
         assert (info.value.k, info.value.epoch, info.value.seed) == (1, 2, 12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_kept_snapshot_training_sse_divergence(self, monkeypatch, value):
+        # The training rows are passed over once, at the end, with each kept
+        # snapshot. Where that SSE is not finite, the smallest such k is
+        # reported at its model's best epoch, with its seed.
+        ds = D.gen_rn_preset("R_2", rows=120, noise_std=0.01, seed=4)
+        tr, va = D.split(ds, 0.1, 0)
+        config = quick_config(learning_rate=0.02, ste_clip=4.0, max_epochs=30, patience=3)
+        archs = [N.Architecture(2, 7, k, (5,), (5,), (10,)) for k in (2, 0, 1, 1)]
+        seeds = [10, 11, 12, 13]
+        trained = N.train_stack(tr, va, archs, config, seeds)
+        # The second k = 1 model and the k = 2 model; the k = 2 model is given first.
+        poisoned = [trained[i][0].flat for i in (0, 3)]
+        real_sse = N._sse_arrays
+
+        def poisoned_sse(stack, xn, yn, tn, ws=None):
+            sse = real_sse(stack, xn, yn, tn, ws)
+            if len(tn) == tr.n_rows and any(np.array_equal(stack.flat, flat) for flat in poisoned):
+                sse[...] = value
+            return sse
+
+        monkeypatch.setattr(N, "_sse_arrays", poisoned_sse)
+        epoch = trained[3][0].metrics["best_epoch"]
+        assert epoch != trained[0][0].metrics["best_epoch"]
+        with pytest.raises(N.NonFiniteLoss, match=f"^SSE diverged at epoch {epoch}$") as info:
+            N.train_stack(tr, va, archs, config, seeds)
+        assert (info.value.k, info.value.epoch, info.value.seed) == (1, epoch, 13)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisoned models overflow
     def test_divergence_equals_training_each_width_alone(self, monkeypatch):
@@ -849,7 +901,7 @@ class TestWorkspace:
         real_sse = N._sse_arrays
         bits_seen: dict[tuple[int, int], set[bytes]] = {}
 
-        def checked_sse(net, xn, yn, tn, ws):
+        def checked_sse(net, xn, yn, tn, ws=None):
             t_reused, bits_reused = (a.copy() for a in stack_predictions(net, xn, yn, ws))
             t_fresh, bits_fresh = stack_predictions(net, xn, yn)
             assert np.array_equal(t_reused, t_fresh) and np.array_equal(bits_reused, bits_fresh)
